@@ -28,7 +28,7 @@ use legion::collection::MemberCredential;
 use legion::core::host::well_known;
 use legion::core::LoidKind;
 use legion::prelude::*;
-use legion::schedulers::{DriverReport, PlacementSpec, RandomScheduler, Scheduler};
+use legion::schedulers::{DriverReport, RandomScheduler, Scheduler};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -129,7 +129,8 @@ fn bulk_place(preload: usize, samples: usize, target_ms: f64) -> Row {
     let enactor = Enactor::new(tb.fabric.clone());
     let driver = ScheduleDriver::new(std::sync::Arc::new(scheduler), std::sync::Arc::new(enactor));
     let ctx = tb.ctx();
-    let specs: Vec<PlacementSpec> = (0..32).map(|_| PlacementSpec::of(class, 2)).collect();
+    let requests: Vec<PlacementRequest> =
+        (0..32).map(|_| PlacementRequest::new().class(class, 2)).collect();
 
     let cleanup = |reports: &[Result<DriverReport, LegionError>]| -> usize {
         let mut placed = 0;
@@ -145,11 +146,11 @@ fn bulk_place(preload: usize, samples: usize, target_ms: f64) -> Row {
     };
 
     let serial_ns = median_ns(samples, target_ms, || {
-        let reports = driver.place_many(&specs, &ctx, 1);
+        let reports = driver.place_many(&requests, &ctx, 1);
         cleanup(&reports)
     });
     let parallel_ns = median_ns(samples, target_ms, || {
-        let reports = driver.place_many(&specs, &ctx, 8);
+        let reports = driver.place_many(&requests, &ctx, 8);
         cleanup(&reports)
     });
     Row { part: "place_many", label: "32 placements, looped place vs 8 workers", serial_ns, parallel_ns }

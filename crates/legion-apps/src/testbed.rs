@@ -390,7 +390,7 @@ mod tests {
         let ctx = tb.ctx();
         let report = ctx.class_report(class).unwrap();
         assert_eq!(report.cpu_centis, 50);
-        let cands = ctx.candidates_for(&report, None).unwrap();
+        let cands = ctx.shared_candidates_for(&report, None).unwrap();
         assert_eq!(cands.len(), 2);
         assert!(cands.iter().all(|c| c.usable()));
     }

@@ -427,17 +427,17 @@ impl FrontDoor {
         let mut out: Vec<Option<Result<legion_schedulers::DriverReport, IngressError>>> =
             (0..submissions.len()).map(|_| None).collect();
         let mut permits: Vec<(usize, Permit)> = Vec::new();
-        let mut specs: Vec<legion_schedulers::PlacementSpec> = Vec::new();
+        let mut requests: Vec<PlacementRequest> = Vec::new();
         for (i, (tenant, request)) in submissions.iter().enumerate() {
             match self.admit(*tenant) {
                 Ok(permit) => {
                     permits.push((i, permit));
-                    specs.push(legion_schedulers::PlacementSpec::new(request.clone()));
+                    requests.push(request.clone());
                 }
                 Err(rejected) => out[i] = Some(Err(rejected.into())),
             }
         }
-        let results = self.driver.place_many(&specs, &self.ctx, workers);
+        let results = self.driver.place_many(&requests, &self.ctx, workers);
         for ((i, permit), result) in permits.into_iter().zip(results) {
             if let Ok(report) = &result {
                 if let Some(ep) = report.episode {

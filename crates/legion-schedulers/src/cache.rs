@@ -40,7 +40,8 @@
 //! instead of racing N identical full queries.
 
 use crate::traits::Candidate;
-use legion_collection::{Collection, CollectionEpoch, DeltaBatch, DeltaOp, Query};
+use legion_collection::{parse_query, Collection, CollectionEpoch, DeltaBatch, DeltaOp, Query};
+use legion_core::LegionError;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,6 +57,13 @@ use std::sync::Arc;
 fn patch_budget(collection_len: usize) -> usize {
     (collection_len / 4).max(64)
 }
+
+/// Most query texts kept at once. Constraint text arrives with the
+/// placement request, so the map would otherwise grow with every
+/// distinct string a caller sends; on overflow the whole map is dropped
+/// (entries are `Arc`s, so serves in flight finish on theirs) and the
+/// texts still in use refill it at one compile and one compute each.
+const MAX_ENTRIES: usize = 256;
 
 /// Monotonic counters describing how the cache has been serving.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -77,8 +85,10 @@ struct CachedSet {
     candidates: Arc<Vec<Candidate>>,
 }
 
-#[derive(Default)]
+/// Everything kept per query text: the query compiled once, and the
+/// set it last produced.
 struct CacheEntry {
+    query: Arc<Query>,
     state: RwLock<Option<CachedSet>>,
 }
 
@@ -105,10 +115,6 @@ impl CandidateCache {
         }
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     pub(crate) fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
         if !on {
@@ -125,26 +131,45 @@ impl CandidateCache {
         }
     }
 
-    fn entry(&self, key: &str) -> Arc<CacheEntry> {
-        if let Some(e) = self.entries.read().get(key) {
-            return Arc::clone(e);
+    fn entry(&self, text: &str) -> Result<Arc<CacheEntry>, LegionError> {
+        if let Some(e) = self.entries.read().get(text) {
+            return Ok(Arc::clone(e));
         }
-        Arc::clone(self.entries.write().entry(key.to_string()).or_default())
+        let fresh =
+            Arc::new(CacheEntry { query: Arc::new(parse_query(text)?), state: RwLock::new(None) });
+        let mut entries = self.entries.write();
+        // Only a new text at the cap flushes the map, not one a racing
+        // worker inserted meanwhile.
+        if entries.len() >= MAX_ENTRIES && !entries.contains_key(text) {
+            entries.clear();
+        }
+        Ok(Arc::clone(entries.entry(text.to_string()).or_insert(fresh)))
     }
 
-    /// Serves the candidate set for `query`, keyed by its source
-    /// `text` (the [`SchedCtx`](crate::SchedCtx) compiled-query key).
-    /// Every serve is accounted on the Collection as one query — hit
-    /// and patched serves via [`Collection::note_cache_serve`], full
-    /// recomputes via the query path itself with a `cache: miss` span
-    /// attribute — so ledger↔trace reconciliation stays exact.
+    /// The compiled form of `text`, parsed (and its regexes compiled)
+    /// once per distinct text rather than once per placement attempt.
+    pub(crate) fn compiled(&self, text: &str) -> Result<Arc<Query>, LegionError> {
+        Ok(Arc::clone(&self.entry(text)?.query))
+    }
+
+    /// Serves the candidate set for the query `text`. Falls
+    /// back to a plain query when the cache is disabled or derived
+    /// attributes are installed (materialized views cannot be patched
+    /// from the delta log). Every cached serve is accounted on the
+    /// Collection as one query — hit and patched serves via
+    /// [`Collection::note_cache_serve`], full recomputes via the query
+    /// path itself with a `cache: miss` span attribute — so
+    /// ledger↔trace reconciliation stays exact.
     pub(crate) fn serve(
         &self,
         collection: &Collection,
-        query: &Query,
         text: &str,
-    ) -> Arc<Vec<Candidate>> {
-        let entry = self.entry(text);
+    ) -> Result<Arc<Vec<Candidate>>, LegionError> {
+        let entry = self.entry(text)?;
+        let query = &*entry.query;
+        if !self.enabled.load(Ordering::Relaxed) || collection.has_derived() {
+            return Ok(Arc::new(compute(collection, query, false)));
+        }
         let epoch = collection.epoch();
         {
             let state = entry.state.read();
@@ -152,7 +177,7 @@ impl CandidateCache {
                 if set.epoch == epoch {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     collection.note_cache_serve("hit", set.candidates.len(), 0);
-                    return Arc::clone(&set.candidates);
+                    return Ok(Arc::clone(&set.candidates));
                 }
             }
         }
@@ -165,7 +190,7 @@ impl CandidateCache {
             if set.epoch == epoch {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 collection.note_cache_serve("hit", set.candidates.len(), 0);
-                return Arc::clone(&set.candidates);
+                return Ok(Arc::clone(&set.candidates));
             }
             match collection.deltas_since(set.epoch.delta_seq) {
                 DeltaBatch::Ops(ops) if ops.len() <= patch_budget(collection.len()) => {
@@ -182,7 +207,7 @@ impl CandidateCache {
                         epoch: CollectionEpoch { generation: epoch.generation, delta_seq: newest },
                         candidates: Arc::clone(&candidates),
                     });
-                    return candidates;
+                    return Ok(candidates);
                 }
                 DeltaBatch::Gap { .. } => {
                     self.gap_resyncs.fetch_add(1, Ordering::Relaxed);
@@ -198,13 +223,13 @@ impl CandidateCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let candidates = Arc::new(compute(collection, query, true));
         *state = Some(CachedSet { epoch, candidates: Arc::clone(&candidates) });
-        candidates
+        Ok(candidates)
     }
 }
 
 /// Runs the query and materializes candidates — the shared recompute
 /// path (`as_miss` labels the trace span when the cache fell through).
-pub(crate) fn compute(collection: &Collection, query: &Query, as_miss: bool) -> Vec<Candidate> {
+fn compute(collection: &Collection, query: &Query, as_miss: bool) -> Vec<Candidate> {
     let records = if as_miss {
         collection.query_parsed_cache_miss(query)
     } else {

@@ -165,9 +165,9 @@ impl ScheduleDriver {
         Err(last_err)
     }
 
-    /// Runs the wrapper loop for every spec, pipelining up to `workers`
-    /// placements concurrently, and returns one result per spec **in
-    /// spec order**.
+    /// Runs the wrapper loop for every request, pipelining up to
+    /// `workers` placements concurrently, and returns one result per
+    /// request **in request order**.
     ///
     /// All workers share the one [`SchedCtx`] — and with it the
     /// compiled-query cache and the Collection's snapshot storage, so N
@@ -178,18 +178,18 @@ impl ScheduleDriver {
     /// property `tests/trace_pipeline.rs` pins).
     ///
     /// `workers <= 1` degenerates to a serial loop over
-    /// [`ScheduleDriver::place`]. Worker threads pull specs from a
+    /// [`ScheduleDriver::place`]. Worker threads pull requests from a
     /// shared cursor, so a slow co-allocation on one thread never
-    /// blocks the remaining specs behind it.
+    /// blocks the remaining requests behind it.
     pub fn place_many(
         &self,
-        specs: &[PlacementSpec],
+        requests: &[PlacementRequest],
         ctx: &SchedCtx,
         workers: usize,
     ) -> Vec<Result<DriverReport, LegionError>> {
-        let workers = workers.max(1).min(specs.len().max(1));
+        let workers = workers.max(1).min(requests.len().max(1));
         if workers <= 1 {
-            return specs.iter().map(|s| self.place(&s.request, ctx)).collect();
+            return requests.iter().map(|r| self.place(r, ctx)).collect();
         }
         let cursor = std::sync::atomic::AtomicUsize::new(0);
         // Disjoint per-index result slots: the cursor hands each index
@@ -197,42 +197,17 @@ impl ScheduleDriver {
         // shared lock — `OnceLock` just proves the single-writer claim
         // to the borrow checker (and `set` would tell us if it broke).
         let slots: Vec<std::sync::OnceLock<Result<DriverReport, LegionError>>> =
-            (0..specs.len()).map(|_| std::sync::OnceLock::new()).collect();
+            (0..requests.len()).map(|_| std::sync::OnceLock::new()).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(spec) = specs.get(i) else { break };
-                    let res = self.place(&spec.request, ctx);
+                    let Some(request) = requests.get(i) else { break };
+                    let res = self.place(request, ctx);
                     slots[i].set(res).unwrap_or_else(|_| panic!("slot {i} written twice"));
                 });
             }
         });
-        slots.into_iter().map(|s| s.into_inner().expect("every spec placed")).collect()
-    }
-}
-
-/// One entry in a [`ScheduleDriver::place_many`] batch.
-#[derive(Debug, Clone, Default)]
-pub struct PlacementSpec {
-    /// The placement to run.
-    pub request: PlacementRequest,
-}
-
-impl PlacementSpec {
-    /// Wraps a placement request.
-    pub fn new(request: PlacementRequest) -> Self {
-        PlacementSpec { request }
-    }
-
-    /// Convenience: a spec asking for `count` instances of `class`.
-    pub fn of(class: Loid, count: u32) -> Self {
-        PlacementSpec { request: PlacementRequest::new().class(class, count) }
-    }
-}
-
-impl From<PlacementRequest> for PlacementSpec {
-    fn from(request: PlacementRequest) -> Self {
-        PlacementSpec { request }
+        slots.into_iter().map(|s| s.into_inner().expect("every request placed")).collect()
     }
 }

@@ -16,12 +16,11 @@
 //! (`SchedTryLimit`, `EnactTryLimit`) lives in
 //! [`ScheduleDriver`](crate::driver::ScheduleDriver).
 
-use crate::traits::{SchedCtx, Scheduler};
-use legion_core::{LegionError, Loid, LoidKind, PlacementRequest};
+use crate::traits::{pick, usable, SchedCtx, Scheduler};
+use legion_core::{LegionError, PlacementRequest};
 use legion_schedule::{Mapping, ScheduleRequest, ScheduleRequestList, VariantSchedule};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// How IRS structures its variant schedules.
@@ -40,7 +39,6 @@ pub enum VariantStyle {
 
 /// The Figs. 8–9 improved random scheduler.
 pub struct IrsScheduler {
-    loid: Loid,
     /// `NSched`: mappings generated per instance (master + n−1 variants).
     pub nsched: usize,
     /// Variant structuring (Fig. 8 joint redraw by default).
@@ -54,7 +52,6 @@ impl IrsScheduler {
     pub fn new(seed: u64, nsched: usize) -> Self {
         assert!(nsched >= 1, "NSched must be at least 1");
         IrsScheduler {
-            loid: Loid::fresh(LoidKind::Service),
             nsched,
             style: VariantStyle::Joint,
             rng: Mutex::new(SmallRng::seed_from_u64(seed)),
@@ -65,11 +62,6 @@ impl IrsScheduler {
     pub fn per_position(mut self) -> Self {
         self.style = VariantStyle::PerPosition;
         self
-    }
-
-    /// This scheduler's identifier.
-    pub fn loid(&self) -> Loid {
-        self.loid
     }
 }
 
@@ -95,20 +87,10 @@ impl Scheduler for IrsScheduler {
         for item in &request.items {
             // One Collection lookup per class — the "fewer lookups"
             // advantage over calling the Fig. 7 generator n times.
-            let report = ctx.class_report(item.class)?;
-            let pool = ctx.shared_candidates_for(&report, item.constraint.as_deref())?;
-            let candidates: Vec<_> = pool.iter().filter(|c| c.usable()).collect();
-            if candidates.is_empty() {
-                return Err(LegionError::NoUsableImplementation { class: item.class });
-            }
+            let set = ctx.pool_for(item)?;
+            let pool = usable(&set, item.class)?;
             for _ in 0..item.count {
-                let mut per_instance = Vec::with_capacity(self.nsched);
-                for _ in 0..self.nsched {
-                    let host = candidates.choose(&mut *rng).expect("non-empty");
-                    let vault = *host.vaults.choose(&mut *rng).expect("usable");
-                    per_instance.push(Mapping::new(item.class, host.host, vault));
-                }
-                lists.push(per_instance);
+                lists.push((0..self.nsched).map(|_| pick(item.class, &pool, &mut rng)).collect());
             }
         }
 

@@ -12,14 +12,12 @@
 //! without disturbing the others. Experiment E-X3 measures success
 //! probability as a function of the spare slack `n − k`.
 
-use crate::traits::{SchedCtx, Scheduler};
-use legion_core::host::well_known;
-use legion_core::{LegionError, Loid, LoidKind, PlacementRequest};
+use crate::traits::{usable, SchedCtx, Scheduler};
+use legion_core::{LegionError, PlacementRequest};
 use legion_schedule::{Mapping, ScheduleRequest, ScheduleRequestList, VariantSchedule};
 
 /// k-of-n placement over an equivalence class of hosts.
 pub struct KOfNScheduler {
-    loid: Loid,
     /// Cap on the equivalence class size (`n`); `None` = all candidates.
     pub n_limit: Option<usize>,
     /// Cap on generated variants (each consumes Enactor attempts).
@@ -29,18 +27,13 @@ pub struct KOfNScheduler {
 impl KOfNScheduler {
     /// A k-of-n scheduler over the whole candidate set.
     pub fn new() -> Self {
-        KOfNScheduler { loid: Loid::fresh(LoidKind::Service), n_limit: None, max_variants: 16 }
+        KOfNScheduler { n_limit: None, max_variants: 16 }
     }
 
     /// Restricts the equivalence class to `n` members.
     pub fn with_n(mut self, n: usize) -> Self {
         self.n_limit = Some(n);
         self
-    }
-
-    /// This scheduler's identifier.
-    pub fn loid(&self) -> Loid {
-        self.loid
     }
 }
 
@@ -69,12 +62,11 @@ impl Scheduler for KOfNScheduler {
         if k == 0 {
             return Err(LegionError::MalformedSchedule("k must be positive".into()));
         }
-        let report = ctx.class_report(item.class)?;
-        let pool = ctx.shared_candidates_for(&report, item.constraint.as_deref())?;
-        let mut candidates: Vec<_> = pool.iter().filter(|c| c.usable()).collect();
-        if let Some(n) = self.n_limit {
-            candidates.truncate(n);
-        }
+        let set = ctx.pool_for(item)?;
+        // A pool smaller than k — empty included — is this policy's own
+        // malformed-request error.
+        let mut candidates = usable(&set, item.class).unwrap_or_default();
+        candidates.truncate(self.n_limit.unwrap_or(usize::MAX));
         if candidates.len() < k {
             return Err(LegionError::MalformedSchedule(format!(
                 "equivalence class has {} members, need k = {k}",
@@ -82,16 +74,10 @@ impl Scheduler for KOfNScheduler {
             )));
         }
         // Least-loaded members take the master slots.
-        candidates.sort_by(|a, b| {
-            let la = a.attrs().get_f64(well_known::LOAD).unwrap_or(f64::MAX);
-            let lb = b.attrs().get_f64(well_known::LOAD).unwrap_or(f64::MAX);
-            la.partial_cmp(&lb).unwrap_or(std::cmp::Ordering::Equal)
-        });
+        candidates
+            .sort_by(|a, b| a.load().partial_cmp(&b.load()).unwrap_or(std::cmp::Ordering::Equal));
 
-        let master: Vec<Mapping> = candidates[..k]
-            .iter()
-            .map(|c| Mapping::new(item.class, c.host, c.vaults[0]))
-            .collect();
+        let master: Vec<Mapping> = candidates[..k].iter().map(|c| c.mapping(item.class)).collect();
         let spares = &candidates[k..];
 
         let mut sched = ScheduleRequest::master_only(master);
@@ -99,7 +85,7 @@ impl Scheduler for KOfNScheduler {
         // spares cover every position as evenly as possible.
         for (j, spare) in spares.iter().enumerate().take(self.max_variants) {
             let pos = j % k;
-            let repl = Mapping::new(item.class, spare.host, spare.vaults[0]);
+            let repl = spare.mapping(item.class);
             sched = sched.with_variant(VariantSchedule::replacing(k, &[(pos, repl)]));
         }
         Ok(ScheduleRequestList { schedules: vec![sched] })

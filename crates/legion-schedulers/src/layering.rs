@@ -16,9 +16,10 @@
 //! implement a simple policy is low".
 
 use crate::random::RandomScheduler;
-use crate::traits::{SchedCtx, Scheduler};
+use crate::traits::{usable, SchedCtx, Scheduler};
 use legion_core::{
-    LegionError, Loid, Placement, PlacementContext, PlacementRequest, ReservationRequest,
+    ClassRequest, LegionError, Loid, Placement, PlacementContext, PlacementRequest,
+    ReservationRequest,
 };
 use legion_schedule::{Enactor, Mapping, ScheduleRequestList};
 use rand::rngs::SmallRng;
@@ -159,18 +160,11 @@ fn inline_random_mappings(
     count: u32,
     seed: u64,
 ) -> Result<Vec<Mapping>, LegionError> {
-    let report = ctx.class_report(class)?;
-    let pool = ctx.shared_candidates_for(&report, None)?;
-    let candidates: Vec<_> = pool.iter().filter(|c| c.usable()).collect();
-    if candidates.is_empty() {
-        return Err(LegionError::NoUsableImplementation { class });
-    }
+    let set = ctx.pool_for(&ClassRequest::new(class, count))?;
+    let pool = usable(&set, class)?;
     let mut rng = SmallRng::seed_from_u64(seed);
     Ok((0..count)
-        .map(|_| {
-            let c = candidates.choose(&mut rng).expect("non-empty");
-            Mapping::new(class, c.host, c.vaults[0])
-        })
+        .map(|_| pool.choose(&mut rng).expect("usable pools are non-empty").mapping(class))
         .collect())
 }
 

@@ -43,7 +43,7 @@ pub mod stencil;
 pub mod traits;
 
 pub use cache::CandidateCacheStats;
-pub use driver::{DriverLimits, DriverReport, PlacementSpec, ScheduleDriver};
+pub use driver::{DriverLimits, DriverReport, ScheduleDriver};
 pub use irs::{IrsScheduler, VariantStyle};
 pub use kofn::KOfNScheduler;
 pub use layering::{place_layered, LayeringScheme};

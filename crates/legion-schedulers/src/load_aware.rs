@@ -8,14 +8,12 @@
 //! function-injection extension of §3.2) over the instantaneous load —
 //! experiment E-X4 measures the difference.
 
-use crate::traits::{SchedCtx, Scheduler};
-use legion_core::host::well_known;
-use legion_core::{LegionError, Loid, LoidKind, PlacementRequest};
-use legion_schedule::{Mapping, ScheduleRequest, ScheduleRequestList, VariantSchedule};
+use crate::traits::{spread_ranked, Candidate, SchedCtx, Scheduler};
+use legion_core::{LegionError, PlacementRequest};
+use legion_schedule::ScheduleRequestList;
 
 /// Least-loaded-first placement.
 pub struct LoadAwareScheduler {
-    loid: Loid,
     /// Prefer `host_load_forecast` (injected) over `host_load`.
     pub use_forecast: bool,
     /// Number of variant schedules to emit (next-best hosts as spares).
@@ -25,7 +23,7 @@ pub struct LoadAwareScheduler {
 impl LoadAwareScheduler {
     /// A load-aware scheduler on instantaneous load.
     pub fn new() -> Self {
-        LoadAwareScheduler { loid: Loid::fresh(LoidKind::Service), use_forecast: false, variants: 2 }
+        LoadAwareScheduler { use_forecast: false, variants: 2 }
     }
 
     /// A load-aware scheduler preferring injected forecasts.
@@ -33,18 +31,13 @@ impl LoadAwareScheduler {
         LoadAwareScheduler { use_forecast: true, ..Self::new() }
     }
 
-    /// This scheduler's identifier.
-    pub fn loid(&self) -> Loid {
-        self.loid
-    }
-
-    fn load_of(&self, c: &crate::traits::Candidate) -> f64 {
+    fn load_of(&self, c: &Candidate) -> f64 {
         if self.use_forecast {
             if let Some(f) = c.attrs().get_f64("host_load_forecast") {
                 return f;
             }
         }
-        c.attrs().get_f64(well_known::LOAD).unwrap_or(f64::MAX)
+        c.load()
     }
 }
 
@@ -68,51 +61,13 @@ impl Scheduler for LoadAwareScheduler {
         request: &PlacementRequest,
         ctx: &SchedCtx,
     ) -> Result<ScheduleRequestList, LegionError> {
-        if request.is_empty() {
-            return Err(LegionError::MalformedSchedule("empty placement request".into()));
-        }
-        let mut master = Vec::new();
-        // Per-position spare lists for variants.
-        let mut spares: Vec<Vec<Mapping>> = Vec::new();
-
-        for item in &request.items {
-            let report = ctx.class_report(item.class)?;
-            let pool = ctx.shared_candidates_for(&report, item.constraint.as_deref())?;
-            let mut candidates: Vec<_> = pool.iter().filter(|c| c.usable()).collect();
-            if candidates.is_empty() {
-                return Err(LegionError::NoUsableImplementation { class: item.class });
-            }
-            candidates.sort_by(|a, b| {
+        // Spread the k instances over the k least-loaded hosts, with
+        // the next-best hosts as each position's spares.
+        spread_ranked(request, ctx, self.variants, |mut ranked| {
+            ranked.sort_by(|a, b| {
                 self.load_of(a).partial_cmp(&self.load_of(b)).unwrap_or(std::cmp::Ordering::Equal)
             });
-            // Spread the k instances over the k least-loaded hosts
-            // (wrapping if k exceeds the candidate pool).
-            for i in 0..item.count as usize {
-                let pick = &candidates[i % candidates.len()];
-                master.push(Mapping::new(item.class, pick.host, pick.vaults[0]));
-                // Next-best hosts become spares for this position.
-                let mut alt = Vec::new();
-                for j in 1..=self.variants {
-                    let c = &candidates[(i + j) % candidates.len()];
-                    if c.host != pick.host {
-                        alt.push(Mapping::new(item.class, c.host, c.vaults[0]));
-                    }
-                }
-                spares.push(alt);
-            }
-        }
-
-        let n = master.len();
-        let mut sched = ScheduleRequest::master_only(master);
-        // Variant v swaps each position to its v-th spare (if any).
-        for v in 0..self.variants {
-            let replacements: Vec<(usize, Mapping)> = (0..n)
-                .filter_map(|i| spares[i].get(v).map(|m| (i, m.clone())))
-                .collect();
-            if !replacements.is_empty() {
-                sched = sched.with_variant(VariantSchedule::replacing(n, &replacements));
-            }
-        }
-        Ok(ScheduleRequestList { schedules: vec![sched] })
+            ranked
+        })
     }
 }

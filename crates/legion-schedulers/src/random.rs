@@ -24,32 +24,22 @@
 //! is "the equivalent of the default schedule generator for Legion
 //! Classes in releases prior to 1.5".
 
-use crate::traits::{SchedCtx, Scheduler};
-use legion_core::{LegionError, Loid, LoidKind, PlacementRequest};
-use legion_schedule::{Mapping, ScheduleRequestList};
+use crate::traits::{pick, usable, SchedCtx, Scheduler};
+use legion_core::{LegionError, PlacementRequest};
+use legion_schedule::ScheduleRequestList;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// The Fig. 7 random scheduler.
 pub struct RandomScheduler {
-    loid: Loid,
     rng: Mutex<SmallRng>,
 }
 
 impl RandomScheduler {
     /// A random scheduler with a deterministic seed.
     pub fn new(seed: u64) -> Self {
-        RandomScheduler {
-            loid: Loid::fresh(LoidKind::Service),
-            rng: Mutex::new(SmallRng::seed_from_u64(seed)),
-        }
-    }
-
-    /// This scheduler's identifier.
-    pub fn loid(&self) -> Loid {
-        self.loid
+        RandomScheduler { rng: Mutex::new(SmallRng::seed_from_u64(seed)) }
     }
 }
 
@@ -69,17 +59,10 @@ impl Scheduler for RandomScheduler {
         let mut master = Vec::with_capacity(request.total_instances() as usize);
         let mut rng = self.rng.lock();
         for item in &request.items {
-            let report = ctx.class_report(item.class)?;
-            let pool = ctx.shared_candidates_for(&report, item.constraint.as_deref())?;
-            let candidates: Vec<_> = pool.iter().filter(|c| c.usable()).collect();
-            if candidates.is_empty() {
-                return Err(LegionError::NoUsableImplementation { class: item.class });
-            }
+            let set = ctx.pool_for(item)?;
+            let pool = usable(&set, item.class)?;
             for _ in 0..item.count {
-                let host = candidates.choose(&mut *rng).expect("non-empty candidates");
-                let vault =
-                    *host.vaults.choose(&mut *rng).expect("usable candidates have vaults");
-                master.push(Mapping::new(item.class, host.host, vault));
+                master.push(pick(item.class, &pool, &mut rng));
             }
         }
         Ok(ScheduleRequestList::single(master))

@@ -5,26 +5,20 @@
 //! Schedulers (§1, §3). Also the natural baseline between Random and
 //! Load-aware in the experiments.
 
-use crate::traits::{SchedCtx, Scheduler};
-use legion_core::{LegionError, Loid, LoidKind, PlacementRequest};
-use legion_schedule::{Mapping, ScheduleRequestList};
+use crate::traits::{usable, SchedCtx, Scheduler};
+use legion_core::{LegionError, PlacementRequest};
+use legion_schedule::ScheduleRequestList;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Cycles instances across candidates in Collection order.
 pub struct RoundRobinScheduler {
-    loid: Loid,
     cursor: AtomicUsize,
 }
 
 impl RoundRobinScheduler {
     /// A fresh round-robin scheduler.
     pub fn new() -> Self {
-        RoundRobinScheduler { loid: Loid::fresh(LoidKind::Service), cursor: AtomicUsize::new(0) }
-    }
-
-    /// This scheduler's identifier.
-    pub fn loid(&self) -> Loid {
-        self.loid
+        RoundRobinScheduler { cursor: AtomicUsize::new(0) }
     }
 }
 
@@ -49,16 +43,11 @@ impl Scheduler for RoundRobinScheduler {
         }
         let mut master = Vec::with_capacity(request.total_instances() as usize);
         for item in &request.items {
-            let report = ctx.class_report(item.class)?;
-            let pool = ctx.shared_candidates_for(&report, item.constraint.as_deref())?;
-            let candidates: Vec<_> = pool.iter().filter(|c| c.usable()).collect();
-            if candidates.is_empty() {
-                return Err(LegionError::NoUsableImplementation { class: item.class });
-            }
+            let set = ctx.pool_for(item)?;
+            let pool = usable(&set, item.class)?;
             for _ in 0..item.count {
-                let i = self.cursor.fetch_add(1, Ordering::Relaxed) % candidates.len();
-                let host = &candidates[i];
-                master.push(Mapping::new(item.class, host.host, host.vaults[0]));
+                let i = self.cursor.fetch_add(1, Ordering::Relaxed) % pool.len();
+                master.push(pool[i].mapping(item.class));
             }
         }
         Ok(ScheduleRequestList::single(master))

@@ -16,10 +16,10 @@
 //! communication cost of any assignment, the quantity experiment E-X1
 //! compares across schedulers.
 
-use crate::traits::{Candidate, SchedCtx, Scheduler};
+use crate::traits::{usable, Candidate, SchedCtx, Scheduler};
 use legion_core::host::well_known;
-use legion_core::{LegionError, Loid, LoidKind, PlacementRequest};
-use legion_schedule::{Mapping, ScheduleRequestList};
+use legion_core::{LegionError, PlacementRequest};
+use legion_schedule::ScheduleRequestList;
 use std::collections::BTreeMap;
 
 /// The process-grid shape of the stencil application.
@@ -51,7 +51,6 @@ impl GridSpec {
 
 /// Domain-banded placement for nearest-neighbour grids.
 pub struct StencilScheduler {
-    loid: Loid,
     /// The application's process grid.
     pub grid: GridSpec,
 }
@@ -59,12 +58,7 @@ pub struct StencilScheduler {
 impl StencilScheduler {
     /// A stencil scheduler for the given grid.
     pub fn new(grid: GridSpec) -> Self {
-        StencilScheduler { loid: Loid::fresh(LoidKind::Service), grid }
-    }
-
-    /// This scheduler's identifier.
-    pub fn loid(&self) -> Loid {
-        self.loid
+        StencilScheduler { grid }
     }
 }
 
@@ -92,17 +86,12 @@ impl Scheduler for StencilScheduler {
                 item.count
             )));
         }
-        let report = ctx.class_report(item.class)?;
-        let pool = ctx.shared_candidates_for(&report, item.constraint.as_deref())?;
-        let candidates: Vec<&Candidate> = pool.iter().filter(|c| c.usable()).collect();
-        if candidates.is_empty() {
-            return Err(LegionError::NoUsableImplementation { class: item.class });
-        }
+        let set = ctx.pool_for(item)?;
 
         // Group candidates by domain, largest domains first so wide bands
         // go where the hosts are.
         let mut by_domain: BTreeMap<String, Vec<&Candidate>> = BTreeMap::new();
-        for c in &candidates {
+        for c in usable(&set, item.class)? {
             let dom = c.attrs().get_str(well_known::DOMAIN).unwrap_or("?").to_string();
             by_domain.entry(dom).or_default().push(c);
         }
@@ -133,7 +122,7 @@ impl Scheduler for StencilScheduler {
             for _ in 0..*rows_here {
                 for col in 0..self.grid.cols {
                     let pick = hosts[(row * self.grid.cols + col) % hosts.len()];
-                    master.push(Mapping::new(item.class, pick.host, pick.vaults[0]));
+                    master.push(pick.mapping(item.class));
                 }
                 row += 1;
             }
@@ -144,7 +133,7 @@ impl Scheduler for StencilScheduler {
             let hosts = &domains[0].1;
             for col in 0..self.grid.cols {
                 let pick = hosts[(row * self.grid.cols + col) % hosts.len()];
-                master.push(Mapping::new(item.class, pick.host, pick.vaults[0]));
+                master.push(pick.mapping(item.class));
             }
             row += 1;
         }

@@ -1,12 +1,13 @@
 //! The Scheduler interface and shared candidate discovery.
 
-use crate::cache::{self, CandidateCache, CandidateCacheStats};
-use legion_core::{ClassReport, LegionError, Loid, PlacementRequest};
-use legion_collection::{parse_query, Collection, CollectionRecord, Query};
+use crate::cache::{CandidateCache, CandidateCacheStats};
+use legion_collection::{Collection, CollectionRecord, Query};
+use legion_core::host::well_known;
+use legion_core::{ClassReport, ClassRequest, LegionError, Loid, PlacementRequest};
 use legion_fabric::Fabric;
-use legion_schedule::ScheduleRequestList;
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use legion_schedule::{Mapping, ScheduleRequest, ScheduleRequestList, VariantSchedule};
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -17,25 +18,16 @@ pub struct SchedCtx {
     pub fabric: Arc<Fabric>,
     /// The Collection to query for resource descriptions.
     pub collection: Arc<Collection>,
-    /// Compiled-query cache: schedulers rebuild the same candidate
-    /// query text on every placement attempt; parsing and regex
-    /// compilation happen once per distinct text, not per attempt.
-    compiled: RwLock<HashMap<String, Arc<Query>>>,
-    /// Epoch-validated candidate-set cache keyed by compiled-query
-    /// text (see [`crate::cache`]); shared by every scheduler and
-    /// `place_many` worker holding this context.
+    /// Per query text, the compiled query and its epoch-validated
+    /// usable candidate pool (see [`crate::cache`]); shared by every
+    /// scheduler and `place_many` worker holding this context.
     candidates: CandidateCache,
 }
 
 impl SchedCtx {
     /// Creates a context (candidate caching on by default).
     pub fn new(fabric: Arc<Fabric>, collection: Arc<Collection>) -> Self {
-        SchedCtx {
-            fabric,
-            collection,
-            compiled: RwLock::new(HashMap::new()),
-            candidates: CandidateCache::new(),
-        }
+        SchedCtx { fabric, collection, candidates: CandidateCache::new() }
     }
 
     /// Turns the candidate-set cache on or off (on by default).
@@ -52,16 +44,11 @@ impl SchedCtx {
         self.candidates.stats()
     }
 
-    /// Compiles `text` once and caches it for the context's lifetime;
+    /// Compiles `text` once and keeps it beside its candidate pool;
     /// repeated placement attempts reuse the compiled [`Query`] via
     /// [`Collection::query_parsed`].
     pub fn compiled_query(&self, text: &str) -> Result<Arc<Query>, LegionError> {
-        if let Some(q) = self.compiled.read().get(text) {
-            return Ok(Arc::clone(q));
-        }
-        let q = Arc::new(parse_query(text)?);
-        self.compiled.write().insert(text.to_string(), Arc::clone(&q));
-        Ok(q)
+        self.candidates.compiled(text)
     }
 
     /// Reads a class's report ("any Scheduler may query the object
@@ -76,23 +63,11 @@ impl SchedCtx {
     /// Fig. 7's first two steps: "query the class for available
     /// implementations; query Collection for Hosts matching available
     /// implementations" — plus an optional extra constraint from the
-    /// placement request.
-    pub fn candidates_for(
-        &self,
-        report: &ClassReport,
-        extra_constraint: Option<&str>,
-    ) -> Result<Vec<Candidate>, LegionError> {
-        Ok((*self.shared_candidates_for(report, extra_constraint)?).clone())
-    }
-
-    /// [`Self::candidates_for`] through the epoch-validated candidate
-    /// cache: the returned set is shared (an `Arc` clone on a hit, no
+    /// placement request — served through the epoch-validated candidate
+    /// cache. The returned set is shared (an `Arc` clone on a hit, no
     /// per-record work at all), exact at the Collection epoch it was
     /// validated against, and sorted by member like every Collection
-    /// query result. Schedulers filter/borrow from it rather than
-    /// cloning. Falls back to a plain query when the cache is disabled
-    /// or derived attributes are installed (materialized views cannot
-    /// be patched from the delta log).
+    /// query result; policies place on the [`usable`] part of it.
     pub fn shared_candidates_for(
         &self,
         report: &ClassReport,
@@ -118,13 +93,26 @@ impl SchedCtx {
             q.push_str(extra);
             q.push(')');
         }
-
-        let compiled = self.compiled_query(&q)?;
-        if !self.candidates.enabled() || self.collection.has_derived() {
-            return Ok(Arc::new(cache::compute(&self.collection, &compiled, false)));
-        }
-        Ok(self.candidates.serve(&self.collection, &compiled, &q))
+        self.candidates.serve(&self.collection, &q)
     }
+
+    /// The discovery step every policy starts from: the class's report,
+    /// then the shared candidate set for it under the item's constraint.
+    pub fn pool_for(&self, item: &ClassRequest) -> Result<Arc<Vec<Candidate>>, LegionError> {
+        let report = self.class_report(item.class)?;
+        self.shared_candidates_for(&report, item.constraint.as_deref())
+    }
+}
+
+/// The hosts of a served set a policy may place `class` on — those that
+/// reported a compatible vault — in the set's order. None at all is
+/// `NoUsableImplementation`, so callers may index the result unchecked.
+pub(crate) fn usable(set: &[Candidate], class: Loid) -> Result<Vec<&Candidate>, LegionError> {
+    let pool: Vec<_> = set.iter().filter(|c| c.usable()).collect();
+    if pool.is_empty() {
+        return Err(LegionError::NoUsableImplementation { class });
+    }
+    Ok(pool)
 }
 
 /// A host candidate extracted from a Collection record.
@@ -169,6 +157,73 @@ impl Candidate {
     pub fn attrs(&self) -> &legion_core::AttributeDb {
         &self.record.attrs
     }
+
+    /// The host's reported load; a host that reports none ranks last.
+    pub fn load(&self) -> f64 {
+        self.attrs().get_f64(well_known::LOAD).unwrap_or(f64::MAX)
+    }
+
+    /// The mapping of one `class` instance onto this host and the first
+    /// vault it listed; for [`usable`] candidates.
+    pub fn mapping(&self, class: Loid) -> Mapping {
+        Mapping::new(class, self.host, self.vaults[0])
+    }
+}
+
+/// Fig. 7's inner step: "pick a Host H at random; extract list of
+/// compatible vaults from H; randomly pick a compatible vault V" — two
+/// draws, host then vault, over a [`usable`] pool.
+pub(crate) fn pick(class: Loid, pool: &[&Candidate], rng: &mut SmallRng) -> Mapping {
+    let host = pool.choose(rng).expect("usable pools are non-empty");
+    let vault = *host.vaults.choose(rng).expect("usable candidates have vaults");
+    Mapping::new(class, host.host, vault)
+}
+
+/// The schedule every ranked policy builds; `rank` is the policy,
+/// ordering (and possibly thinning) a class's pool best first. The
+/// `count` instances go to the top of the ranking, wrapping if `count`
+/// exceeds it; the `variants` next hosts down are each position's
+/// spares, and variant `v` swaps every position to its `v`-th spare,
+/// where it has one.
+pub(crate) fn spread_ranked(
+    request: &PlacementRequest,
+    ctx: &SchedCtx,
+    variants: usize,
+    rank: impl for<'p> Fn(Vec<&'p Candidate>) -> Vec<&'p Candidate>,
+) -> Result<ScheduleRequestList, LegionError> {
+    if request.is_empty() {
+        return Err(LegionError::MalformedSchedule("empty placement request".into()));
+    }
+    let mut master = Vec::new();
+    let mut spares: Vec<Vec<Mapping>> = Vec::new();
+    for item in &request.items {
+        let set = ctx.pool_for(item)?;
+        let ranked = rank(usable(&set, item.class)?);
+        if ranked.is_empty() {
+            return Err(LegionError::NoUsableImplementation { class: item.class });
+        }
+        for i in 0..item.count as usize {
+            let pick = ranked[i % ranked.len()];
+            master.push(pick.mapping(item.class));
+            spares.push(
+                (1..=variants)
+                    .map(|j| ranked[(i + j) % ranked.len()])
+                    .filter(|c| c.host != pick.host)
+                    .map(|c| c.mapping(item.class))
+                    .collect(),
+            );
+        }
+    }
+    let n = master.len();
+    let mut sched = ScheduleRequest::master_only(master);
+    for v in 0..variants {
+        let replacements: Vec<(usize, Mapping)> =
+            (0..n).filter_map(|i| spares[i].get(v).map(|m| (i, m.clone()))).collect();
+        if !replacements.is_empty() {
+            sched = sched.with_variant(VariantSchedule::replacing(n, &replacements));
+        }
+    }
+    Ok(ScheduleRequestList { schedules: vec![sched] })
 }
 
 /// A placement policy: computes schedules, never enacts them.

@@ -1,16 +1,17 @@
 //! The epoch-validated candidate cache: delta-edge behaviour (touch-only
-//! churn, log gaps, deltas never enabled, oversized batches) and the
-//! bit-identical cached/patched/uncached equivalence property under
-//! arbitrary mutation interleavings and shard counts.
+//! churn, log gaps, deltas never enabled, oversized batches, hosts that
+//! lose and regain their vaults) and the bit-identical
+//! cached/patched/uncached equivalence property under arbitrary
+//! mutation interleavings and shard counts.
 
 use legion_collection::{Collection, MemberCredential};
 use legion_core::host::well_known;
 use legion_core::{
-    AttrValue, AttributeDb, ClassReport, Loid, LoidKind, ObjectImplementation, SimDuration,
-    SimTime,
+    AttrValue, AttributeDb, ClassObject, ClassReport, LegionClass, LegionError, Loid, LoidKind,
+    ObjectImplementation, PlacementRequest, SimDuration, SimTime,
 };
 use legion_fabric::{DomainTopology, Fabric};
-use legion_schedulers::{Candidate, SchedCtx};
+use legion_schedulers::{Candidate, RoundRobinScheduler, SchedCtx, Scheduler};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -27,14 +28,19 @@ fn member_loid(i: usize) -> Loid {
 }
 
 fn host_attrs(memory_mb: i64) -> AttributeDb {
+    vaultless_attrs(memory_mb).with(
+        well_known::COMPATIBLE_VAULTS,
+        AttrValue::List(vec![AttrValue::Str(vault_loid().to_string())]),
+    )
+}
+
+/// A host that answers the query but reports no compatible vault: the
+/// cache serves it like any match, and no policy places on it.
+fn vaultless_attrs(memory_mb: i64) -> AttributeDb {
     AttributeDb::new()
         .with(well_known::ARCH, "mips")
         .with(well_known::OS_NAME, "IRIX")
         .with(well_known::MEMORY_MB, memory_mb)
-        .with(
-            well_known::COMPATIBLE_VAULTS,
-            AttrValue::List(vec![AttrValue::Str(vault_loid().to_string())]),
-        )
 }
 
 /// Initial memory for member `i`: 128, 256, 384 or 512 MB — half the
@@ -92,11 +98,22 @@ fn serve(ctx: &SchedCtx) -> Arc<Vec<Candidate>> {
 
 /// Asserts the cached context serves exactly what a full uncached query
 /// computes — same members, same attribute snapshots, same vault lists,
-/// same order.
+/// same order — and that both are what the Collection itself answers
+/// to the same query text.
 fn assert_serves_match(bed: &Bed) {
     let cached = serve(&bed.cached);
     let uncached = serve(&bed.uncached);
     assert_eq!(*cached, *uncached, "cached serve diverged from ground-truth query");
+    let reference: Vec<Candidate> = bed
+        .collection
+        .query(&format!(
+            r#"(($host_arch == "mips" and $host_os_name == "IRIX")) and ({MEM_CONSTRAINT})"#
+        ))
+        .expect("query compiles")
+        .into_iter()
+        .map(Candidate::from_record)
+        .collect();
+    assert_eq!(*cached, reference, "served set is not the Collection's query result");
 }
 
 #[test]
@@ -230,11 +247,98 @@ fn disabling_the_cache_drops_state_and_serves_plain_queries() {
     assert_serves_match(&bed);
 }
 
+#[test]
+fn vaultless_hosts_are_served_but_never_placed_on() {
+    let bed = bed(4, 16, Some(1024));
+    let class = Arc::new(LegionClass::new("w", vec![ObjectImplementation::new("mips", "IRIX")]));
+    let class_loid = class.loid();
+    bed.fabric.register_class(class);
+    // One round-robin lap over the pool: every host a policy may use.
+    let placeable = || -> Vec<Loid> {
+        let lap = PlacementRequest::new().class_where(class_loid, 16, MEM_CONSTRAINT);
+        let schedule = RoundRobinScheduler::new().compute_schedule(&lap, &bed.cached).unwrap();
+        schedule.schedules[0].master.mappings.iter().map(|m| m.host).collect()
+    };
+    let served = |i: usize| serve(&bed.cached).iter().find(|c| c.host == member_loid(i)).cloned();
+    let t = SimTime::from_secs(2);
+
+    // Member 3 has 512 MB — inside the predicate — but reports no
+    // vault before the first serve: in the filled set, not placeable.
+    bed.collection.replace(&bed.creds[3], vaultless_attrs(512), t).unwrap();
+    assert!(!served(3).expect("a vault-less match is still a match").usable());
+    assert!(!placeable().contains(&member_loid(3)), "placed on a host with no vault");
+    assert_serves_match(&bed);
+
+    // Member 7 (512 MB) is placeable until an upsert strips its vaults,
+    // which reaches the cached set through the patch path...
+    assert!(placeable().contains(&member_loid(7)));
+    bed.collection.replace(&bed.creds[7], vaultless_attrs(512), t).unwrap();
+    assert!(!served(7).expect("still matches").usable());
+    assert!(!placeable().contains(&member_loid(7)), "stripped host stayed placeable");
+    assert_serves_match(&bed);
+
+    // ...and upserts that restore vaults bring both hosts back.
+    bed.collection.replace(&bed.creds[7], host_attrs(512), t).unwrap();
+    bed.collection.replace(&bed.creds[3], host_attrs(512), t).unwrap();
+    let back = placeable();
+    assert!(back.contains(&member_loid(7)) && back.contains(&member_loid(3)));
+    assert_serves_match(&bed);
+
+    // With every match stripped, the usable pool is empty.
+    for i in 0..16 {
+        bed.collection.replace(&bed.creds[i], vaultless_attrs(512), t).unwrap();
+    }
+    let lap = PlacementRequest::new().class_where(class_loid, 1, MEM_CONSTRAINT);
+    assert!(matches!(
+        RoundRobinScheduler::new().compute_schedule(&lap, &bed.cached),
+        Err(LegionError::NoUsableImplementation { .. })
+    ));
+    assert_eq!(serve(&bed.cached).len(), 16);
+    assert_serves_match(&bed);
+
+    let stats = bed.cached.candidate_cache_stats();
+    assert_eq!((stats.misses, stats.patched), (1, 3), "strips and restores went through the patch");
+}
+
+#[test]
+fn distinct_constraint_texts_stay_under_the_map_cap() {
+    // Constraint text is caller-supplied through the front door, so the
+    // text-keyed map is capped at 256 entries and dropped on overflow.
+    let bed = bed(2, 16, Some(1024));
+    let serve_at_least = |mb: i64| {
+        bed.cached
+            .shared_candidates_for(&report(), Some(&format!("$host_memory_mb >= {mb}")))
+            .expect("query compiles")
+    };
+    for mb in 0..10_000 {
+        let served: Vec<Loid> = serve_at_least(mb).iter().map(|c| c.host).collect();
+        let expected: Vec<Loid> =
+            (0..16).filter(|&i| initial_memory(i) >= mb).map(member_loid).collect();
+        assert_eq!(served, expected, "wrong pool for {mb} MB");
+    }
+    // An overflow keeps only the texts inserted after it, so the
+    // resident texts are the newest ones: serving newest-first, each
+    // resident text is a hit and the first miss ends the resident run.
+    let hits = || bed.cached.candidate_cache_stats().hits;
+    let resident = (0..10_000)
+        .rev()
+        .take_while(|&mb| {
+            let before = hits();
+            serve_at_least(mb);
+            hits() > before
+        })
+        .count();
+    assert!((1..=256).contains(&resident), "{resident} texts resident, cap is 256");
+}
+
 /// One mutation step of the interleaving property below.
 #[derive(Debug, Clone)]
 enum Step {
     Touch(usize),
     Upsert(usize, i64),
+    /// An upsert that leaves the host matching or not by memory, but
+    /// with no vault either way; a later `Upsert` restores the vault.
+    StripVaults(usize, i64),
     Leave(usize),
     Rejoin(usize, i64),
     Serve,
@@ -244,6 +348,7 @@ fn step_strategy(members: usize) -> impl Strategy<Value = Step> {
     prop_oneof![
         (0..members).prop_map(Step::Touch),
         (0..members, 0i64..1024).prop_map(|(i, m)| Step::Upsert(i, m)),
+        (0..members, 0i64..1024).prop_map(|(i, m)| Step::StripVaults(i, m)),
         (0..members).prop_map(Step::Leave),
         (0..members, 0i64..1024).prop_map(|(i, m)| Step::Rejoin(i, m)),
         Just(Step::Serve),
@@ -254,7 +359,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The headline correctness property: under any interleaving of
-    /// upserts, touches, leaves and rejoins — across shard counts and
+    /// upserts (with and without vaults), touches, leaves and rejoins — across shard counts and
     /// delta-log capacities (including none, forcing recomputes, and
     /// tiny, forcing gaps) — a cached serve is bit-identical to a full
     /// uncached query at every observation point.
@@ -274,6 +379,9 @@ proptest! {
                 Step::Touch(i) => { let _ = bed.collection.touch(&bed.creds[i], t); }
                 Step::Upsert(i, m) => {
                     let _ = bed.collection.replace(&bed.creds[i], host_attrs(m), t);
+                }
+                Step::StripVaults(i, m) => {
+                    let _ = bed.collection.replace(&bed.creds[i], vaultless_attrs(m), t);
                 }
                 Step::Leave(i) => { let _ = bed.collection.leave(&bed.creds[i]); }
                 Step::Rejoin(i, m) => {

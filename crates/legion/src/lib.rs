@@ -136,8 +136,7 @@ pub mod prelude {
     pub use legion_network::{NetworkBroker, NetworkDirectory, NetworkObject};
     pub use legion_schedulers::{
         IrsScheduler, KOfNScheduler, LoadAwareScheduler, PriceAwareScheduler, RandomScheduler,
-        PlacementSpec, RoundRobinScheduler, SchedCtx, ScheduleDriver, Scheduler,
-        StencilScheduler,
+        RoundRobinScheduler, SchedCtx, ScheduleDriver, Scheduler, StencilScheduler,
     };
     pub use legion_trace::{
         episode_report, latency_report, trace_json, SpanKind, SpanOutcome, TraceRollup, TraceSink,

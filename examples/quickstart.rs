@@ -29,7 +29,7 @@ fn main() {
     // run the class's implementations.
     let ctx = tb.ctx();
     let report = ctx.class_report(class).expect("class is registered");
-    let candidates = ctx.candidates_for(&report, None).expect("query succeeds");
+    let candidates = ctx.shared_candidates_for(&report, None).expect("query succeeds");
     println!("collection query found {} candidate hosts", candidates.len());
 
     // Turn on pipeline tracing so the placement below is captured as a

@@ -80,9 +80,9 @@ fn racing_enactors_never_oversubscribe() {
 fn place_many_preserves_order_and_never_oversubscribes() {
     // 8 single-CPU hosts, half-CPU demand: 16 instance slots. Eight
     // requests alternating 1 and 2 instances (12 total) all fit, so
-    // every report must succeed, land in its spec's slot, and no host
+    // every report must succeed, land in its request's slot, and no host
     // may exceed its two-instance capacity however the workers race.
-    use legion::schedulers::{PlacementSpec, RandomScheduler};
+    use legion::schedulers::RandomScheduler;
 
     let tb = Testbed::build(TestbedConfig::wide(2, 4, 83));
     let class = tb.register_class("bulk", 50, 64);
@@ -93,17 +93,17 @@ fn place_many_preserves_order_and_never_oversubscribes() {
     let driver = ScheduleDriver::new(std::sync::Arc::new(scheduler), std::sync::Arc::new(enactor));
     let ctx = tb.ctx();
     let counts: Vec<u32> = (0..8).map(|i| 1 + (i % 2)).collect();
-    let specs: Vec<PlacementSpec> =
-        counts.iter().map(|&n| PlacementSpec::of(class, n)).collect();
+    let requests: Vec<PlacementRequest> =
+        counts.iter().map(|&n| PlacementRequest::new().class(class, n)).collect();
 
-    let reports = driver.place_many(&specs, &ctx, 8);
-    assert_eq!(reports.len(), specs.len(), "one slot per spec");
+    let reports = driver.place_many(&requests, &ctx, 8);
+    assert_eq!(reports.len(), requests.len(), "one slot per request");
     for (i, report) in reports.iter().enumerate() {
-        let report = report.as_ref().unwrap_or_else(|e| panic!("spec {i} failed: {e}"));
+        let report = report.as_ref().unwrap_or_else(|e| panic!("request {i} failed: {e}"));
         assert_eq!(
             report.placed.len(),
             counts[i] as usize,
-            "slot {i} must hold the report for spec {i}"
+            "slot {i} must hold the report for request {i}"
         );
     }
     // The hosts stayed the arbiters: nobody holds more than two
@@ -124,9 +124,9 @@ fn place_many_preserves_order_and_never_oversubscribes() {
     let scheduler2 = RandomScheduler::new(7);
     let enactor2 = Enactor::new(tb2.fabric.clone());
     let driver2 = ScheduleDriver::new(std::sync::Arc::new(scheduler2), std::sync::Arc::new(enactor2));
-    let specs2: Vec<PlacementSpec> =
-        counts.iter().map(|&n| PlacementSpec::of(class2, n)).collect();
-    let serial = driver2.place_many(&specs2, &tb2.ctx(), 1);
+    let requests2: Vec<PlacementRequest> =
+        counts.iter().map(|&n| PlacementRequest::new().class(class2, n)).collect();
+    let serial = driver2.place_many(&requests2, &tb2.ctx(), 1);
     for (i, report) in serial.iter().enumerate() {
         assert_eq!(report.as_ref().unwrap().placed.len(), counts[i] as usize);
     }

@@ -2,6 +2,10 @@
 //! request → approve → confirm grant workflow and its failure edges
 //! (expiry releases tokens, approve-after-crash reconciles the ledger),
 //! and the chaos soak with ingress enabled replaying byte-identically.
+//!
+//! Every test holds `Loid::replay_guard()`: the soak rebases the
+//! process-wide LOID counter between its two runs, and a neighbour
+//! minting LOIDs meanwhile would land in the replayed lane.
 
 use legion::core::{LegionError, Loid};
 use legion::ingress::{ClassPolicy, GrantState, IngressError, Rejected};
@@ -35,6 +39,7 @@ fn one_token() -> ClassPolicy {
 
 #[test]
 fn admission_rejections_are_typed() {
+    let _guard = Loid::replay_guard();
     let (_tb, door, _class) =
         door_bed(11, ClassPolicy { rate_per_sec: 0.5, burst: 2, queue_capacity: 1 }, 64);
     let tenant = door.register_tenant("tenant", PriorityClass::Interactive);
@@ -63,6 +68,7 @@ fn admission_rejections_are_typed() {
 
 #[test]
 fn saturated_enactor_sheds_before_touching_the_bucket() {
+    let _guard = Loid::replay_guard();
     // saturation_limit 0 means the door always sees a saturated tier.
     let (tb, door, _class) = door_bed(12, one_token(), 0);
     let tenant = door.register_tenant("tenant", PriorityClass::Production);
@@ -78,6 +84,7 @@ fn saturated_enactor_sheds_before_touching_the_bucket() {
 
 #[test]
 fn grant_workflow_confirms_within_window() {
+    let _guard = Loid::replay_guard();
     let (tb, door, class) = door_bed(13, one_token(), 64);
     let tenant = door.register_tenant("tenant", PriorityClass::Production);
     let (host, vault) = (tb.host_loids[0], tb.vault_loids[1]);
@@ -104,6 +111,7 @@ fn grant_workflow_confirms_within_window() {
 
 #[test]
 fn unconfirmed_grant_expiry_releases_the_admission_token() {
+    let _guard = Loid::replay_guard();
     let (tb, door, class) = door_bed(14, one_token(), 64);
     let tenant = door.register_tenant("tenant", PriorityClass::Production);
     let vault = tb.vault_loids[1];
@@ -138,6 +146,7 @@ fn unconfirmed_grant_expiry_releases_the_admission_token() {
 
 #[test]
 fn approve_after_host_crash_reconciles_the_ledger() {
+    let _guard = Loid::replay_guard();
     let (tb, door, class) = door_bed(15, one_token(), 64);
     let tenant = door.register_tenant("tenant", PriorityClass::Production);
     let (host, vault) = (tb.host_loids[0], tb.vault_loids[1]);
@@ -198,6 +207,7 @@ fn pinned_seed_ingress_chaos_soak_replays_byte_identically() {
 
 #[test]
 fn submit_many_preserves_order_and_concludes_every_permit() {
+    let _guard = Loid::replay_guard();
     // Tenant A has 4 burst tokens, so its 5th submission is rejected in
     // place; tenant B's 2 ride the same batch. Results must come back
     // in submission order with the rejection holding its slot, and
@@ -232,6 +242,7 @@ fn submit_many_preserves_order_and_concludes_every_permit() {
 
 #[test]
 fn submit_many_matches_sequential_submits() {
+    let _guard = Loid::replay_guard();
     // The batcher is a throughput optimization, not a semantic change:
     // the same submissions through `submit_many` and through looped
     // `submit` land the same number of placements on identical beds.

@@ -19,7 +19,7 @@ fn thirteen_step_walkthrough() {
     let report = ctx.class_report(class).unwrap();
     assert_eq!(report.cpu_centis, 25);
     // ...and queries the Collection.
-    let candidates = ctx.candidates_for(&report, None).unwrap();
+    let candidates = ctx.shared_candidates_for(&report, None).unwrap();
     assert_eq!(candidates.len(), 8);
 
     // The Scheduler computes a mapping of objects to resources.

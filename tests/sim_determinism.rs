@@ -230,10 +230,10 @@ fn reservation_fanout_under_sim_matches_thread_path_under_loss() {
 
 #[test]
 fn place_many_under_sim_matches_serial_thread_path() {
-    // The concurrency-suite batch scenario: 8 specs, alternating 1 and 2
+    // The concurrency-suite batch scenario: 8 requests, alternating 1 and 2
     // instances. Serial thread path (workers = 1) versus one sim task
-    // per spec — the sim runs tasks to completion in spawn order, so the
-    // two must place identically, spec for spec.
+    // per request — the sim runs tasks to completion in spawn order, so the
+    // two must place identically, request for request.
     let _guard = Loid::replay_guard();
     const SEED: u64 = 83;
     type Placed = Vec<Result<Vec<(usize, u64)>, String>>;
@@ -254,8 +254,8 @@ fn place_many_under_sim_matches_serial_thread_path() {
             })
             .collect()
     };
-    let specs = |class: Loid| -> Vec<PlacementSpec> {
-        (0..8u32).map(|i| PlacementSpec::of(class, 1 + (i % 2))).collect()
+    let requests = |class: Loid| -> Vec<PlacementRequest> {
+        (0..8u32).map(|i| PlacementRequest::new().class(class, 1 + (i % 2))).collect()
     };
 
     let threads = {
@@ -265,7 +265,7 @@ fn place_many_under_sim_matches_serial_thread_path() {
         let scheduler = RandomScheduler::new(7);
         let enactor = Enactor::new(tb.fabric.clone());
         let driver = ScheduleDriver::new(std::sync::Arc::new(scheduler), std::sync::Arc::new(enactor));
-        let results = driver.place_many(&specs(class), &tb.ctx(), 1);
+        let results = driver.place_many(&requests(class), &tb.ctx(), 1);
         digest(&tb, results)
     };
 
@@ -282,26 +282,26 @@ fn place_many_under_sim_matches_serial_thread_path() {
         type Slots = Vec<Option<Result<DriverReport, LegionError>>>;
         let slots: Arc<std::sync::Mutex<Slots>> =
             Arc::new(std::sync::Mutex::new((0..8).map(|_| None).collect()));
-        for (i, spec) in specs(class).into_iter().enumerate() {
+        for (i, request) in requests(class).into_iter().enumerate() {
             let (scheduler, enactor, ctx, slots) = (
                 Arc::clone(&scheduler),
                 Arc::clone(&enactor),
                 Arc::clone(&ctx),
                 Arc::clone(&slots),
             );
-            sim.spawn(format!("spec-{i}"), move |_| {
+            sim.spawn(format!("request-{i}"), move |_| {
                 let driver = ScheduleDriver::new(scheduler, enactor);
-                slots.lock().unwrap()[i] = Some(driver.place(&spec.request, &ctx));
+                slots.lock().unwrap()[i] = Some(driver.place(&request, &ctx));
             });
         }
         sim.run().unwrap_or_else(|e| panic!("{e}"));
         tb.fabric.detach_sim();
         let results: Vec<_> =
-            slots.lock().unwrap().drain(..).map(|r| r.expect("every spec placed")).collect();
+            slots.lock().unwrap().drain(..).map(|r| r.expect("every request placed")).collect();
         digest(&tb, results)
     };
 
-    assert_eq!(threads, sim_run, "sim task-per-spec diverged from the serial thread path");
+    assert_eq!(threads, sim_run, "sim task-per-request diverged from the serial thread path");
     assert!(threads.iter().all(|r| r.is_ok()), "idle bed placements all succeed");
 }
 
