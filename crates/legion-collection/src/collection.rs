@@ -54,9 +54,11 @@ pub const DEFAULT_SHARDS: usize = 8;
 #[derive(Default)]
 struct Shard {
     /// Member → shared record snapshot. Queries clone the `Arc`, not
-    /// the record, so results share structure with the store; mutation
-    /// goes through [`Arc::make_mut`] and copies only when a past query
-    /// result still holds the snapshot.
+    /// the record, so results share structure with the store — and so
+    /// do the change log, push mirrors and candidate caches. A stored
+    /// snapshot is therefore immutable: an attribute change installs a
+    /// freshly built record, and only [`Collection::touch`] edits in
+    /// place (`Arc::make_mut`, copying when anyone else holds it).
     records: BTreeMap<Loid, Arc<CollectionRecord>>,
     /// Per-attribute string/trigram/numeric/presence indexes,
     /// maintained incrementally on every join/update/replace/leave/
@@ -65,13 +67,13 @@ struct Shard {
 }
 
 impl Shard {
-    fn insert(&mut self, record: CollectionRecord) {
+    fn insert(&mut self, record: Arc<CollectionRecord>) {
         let member = record.member;
         if let Some(old) = self.records.remove(&member) {
             self.indexes.remove(member, &old.attrs);
         }
         self.indexes.insert(member, &record.attrs);
-        self.records.insert(member, Arc::new(record));
+        self.records.insert(member, record);
     }
 
     fn remove(&mut self, member: Loid) -> Option<Arc<CollectionRecord>> {
@@ -80,24 +82,27 @@ impl Shard {
         Some(old)
     }
 
-    /// Mutates `member`'s attributes in place (copy-on-write against
-    /// outstanding query results), keeping the indexes in sync. Returns
-    /// the join timestamp plus, when `want_snapshot`, a clone of the
-    /// post-change attributes (for delta logging).
+    /// Installs the snapshot that succeeds `member`'s current one —
+    /// `next` builds its attributes from the outgoing ones — keeping
+    /// the indexes in sync. Returns the installed snapshot (for delta
+    /// logging); holders of the outgoing one keep it unchanged.
     fn mutate_attrs(
         &mut self,
         member: Loid,
         now: SimTime,
-        f: impl FnOnce(&mut AttributeDb),
-        want_snapshot: bool,
-    ) -> Result<(SimTime, Option<AttributeDb>), LegionError> {
-        let rec = self.records.get_mut(&member).ok_or(LegionError::NoSuchObject(member))?;
-        self.indexes.remove(member, &rec.attrs);
-        let rec = Arc::make_mut(rec);
-        f(&mut rec.attrs);
-        rec.updated_at = now;
+        next: impl FnOnce(&AttributeDb) -> AttributeDb,
+    ) -> Result<Arc<CollectionRecord>, LegionError> {
+        let slot = self.records.get_mut(&member).ok_or(LegionError::NoSuchObject(member))?;
+        let rec = Arc::new(CollectionRecord {
+            member,
+            attrs: next(&slot.attrs),
+            joined_at: slot.joined_at,
+            updated_at: now,
+        });
+        self.indexes.remove(member, &slot.attrs);
         self.indexes.insert(member, &rec.attrs);
-        Ok((rec.joined_at, want_snapshot.then(|| rec.attrs.clone())))
+        *slot = Arc::clone(&rec);
+        Ok(rec)
     }
 }
 
@@ -282,12 +287,12 @@ impl Collection {
     /// Appends to the change log if enabled. MUST be called while
     /// holding the written shard's guard, so log order is consistent
     /// with per-member store order.
-    fn log_delta(&self, op: impl FnOnce() -> DeltaOp) {
+    fn log_delta(&self, op: DeltaOp) {
         if !self.deltas_on.load(Ordering::Acquire) {
             return;
         }
         if let Some(log) = self.changelog.lock().as_mut() {
-            let seq = log.push(op());
+            let seq = log.push(op);
             self.delta_seq_hint.store(seq, Ordering::Release);
         }
     }
@@ -331,17 +336,7 @@ impl Collection {
         attrs: AttributeDb,
         now: SimTime,
     ) -> MemberCredential {
-        {
-            let mut shard = self.shard_of(joiner).write();
-            shard.insert(CollectionRecord::new(joiner, attrs.clone(), now));
-            self.log_delta(|| DeltaOp::Upsert {
-                member: joiner,
-                attrs,
-                joined_at: now,
-                updated_at: now,
-            });
-            self.bump_epoch();
-        }
+        self.apply_upsert(Arc::new(CollectionRecord::new(joiner, attrs, now)));
         self.bump(|m| MetricsLedger::bump(&m.collection_updates));
         self.credential_for(joiner)
     }
@@ -352,7 +347,7 @@ impl Collection {
         let mut shard = self.shard_of(cred.member).write();
         let removed = shard.remove(cred.member);
         if removed.is_some() {
-            self.log_delta(|| DeltaOp::Remove { member: cred.member });
+            self.log_delta(DeltaOp::Remove { member: cred.member });
             self.bump_epoch();
             Ok(())
         } else {
@@ -369,7 +364,11 @@ impl Collection {
         now: SimTime,
     ) -> Result<(), LegionError> {
         self.authenticate(cred)?;
-        self.mutate_logged(cred.member, now, |db| db.merge_from(attrs))?;
+        self.mutate_logged(cred.member, now, |old| {
+            let mut merged = old.clone();
+            merged.merge_from(attrs);
+            merged
+        })?;
         self.bump(|m| MetricsLedger::bump(&m.collection_updates));
         Ok(())
     }
@@ -382,7 +381,7 @@ impl Collection {
         now: SimTime,
     ) -> Result<(), LegionError> {
         self.authenticate(cred)?;
-        self.mutate_logged(cred.member, now, |db| *db = attrs)?;
+        self.mutate_logged(cred.member, now, |_| attrs)?;
         self.bump(|m| MetricsLedger::bump(&m.collection_updates));
         Ok(())
     }
@@ -391,22 +390,22 @@ impl Collection {
         &self,
         member: Loid,
         now: SimTime,
-        f: impl FnOnce(&mut AttributeDb),
+        next: impl FnOnce(&AttributeDb) -> AttributeDb,
     ) -> Result<(), LegionError> {
-        let logging = self.deltas_on.load(Ordering::Acquire);
         let mut shard = self.shard_of(member).write();
-        let (joined_at, snapshot) = shard.mutate_attrs(member, now, f, logging)?;
-        if let Some(attrs) = snapshot {
-            self.log_delta(|| DeltaOp::Upsert { member, attrs, joined_at, updated_at: now });
-        }
+        let rec = shard.mutate_attrs(member, now, next)?;
+        self.log_delta(DeltaOp::Upsert(rec));
         self.bump_epoch();
         Ok(())
     }
 
     /// Freshness bump without an attribute change (the incremental
-    /// pull daemon's no-change fast path): only `updated_at` moves, no
-    /// index is rewritten, and mirrors get a [`DeltaOp::Touch`] instead
-    /// of a full attribute snapshot.
+    /// pull daemon's no-change fast path): only `updated_at` moves and
+    /// no index is rewritten. The bumped snapshot is logged as a
+    /// [`DeltaOp::Touch`], which tells mirrors and caches to re-point
+    /// to it without re-indexing or re-evaluating. A snapshot anyone
+    /// else still holds — the log, a mirror, a cache, a query result —
+    /// is immutable, so the bump then lands on a copy of it.
     pub fn touch(&self, cred: &MemberCredential, now: SimTime) -> Result<(), LegionError> {
         self.authenticate(cred)?;
         let mut shard = self.shard_of(cred.member).write();
@@ -415,36 +414,35 @@ impl Collection {
             .get_mut(&cred.member)
             .ok_or(LegionError::NoSuchObject(cred.member))?;
         Arc::make_mut(rec).updated_at = now;
-        self.log_delta(|| DeltaOp::Touch { member: cred.member, updated_at: now });
+        self.log_delta(DeltaOp::Touch(Arc::clone(rec)));
         self.bump_epoch();
         drop(shard);
         self.bump(|m| MetricsLedger::bump(&m.collection_updates));
         Ok(())
     }
 
-    /// Applies a mirror-side upsert: the record is installed exactly as
-    /// shipped (both timestamps preserved), bypassing credentials — the
-    /// mirror trusts its source link, not its members.
-    pub(crate) fn apply_upsert(
-        &self,
-        member: Loid,
-        attrs: AttributeDb,
-        joined_at: SimTime,
-        updated_at: SimTime,
-    ) {
-        let mut shard = self.shard_of(member).write();
-        shard.insert(CollectionRecord { member, attrs: attrs.clone(), joined_at, updated_at });
-        self.log_delta(|| DeltaOp::Upsert { member, attrs, joined_at, updated_at });
+    /// Installs `rec` itself as its member's snapshot and logs it — a
+    /// join's new record, or a mirror-side upsert, where the record is
+    /// the one the source shipped (shared with it, not copied) and
+    /// credentials are bypassed: the mirror trusts its source link, not
+    /// its members.
+    pub(crate) fn apply_upsert(&self, rec: Arc<CollectionRecord>) {
+        let mut shard = self.shard_of(rec.member).write();
+        shard.insert(Arc::clone(&rec));
+        self.log_delta(DeltaOp::Upsert(rec));
         self.bump_epoch();
     }
 
-    /// Applies a mirror-side freshness bump. Unknown members are
-    /// ignored (the gap-detection path handles real divergence).
-    pub(crate) fn apply_touch(&self, member: Loid, updated_at: SimTime) {
-        let mut shard = self.shard_of(member).write();
-        if let Some(rec) = shard.records.get_mut(&member) {
-            Arc::make_mut(rec).updated_at = updated_at;
-            self.log_delta(|| DeltaOp::Touch { member, updated_at });
+    /// Applies a mirror-side freshness bump by re-pointing to the
+    /// shipped snapshot; its attributes are the ones already indexed,
+    /// so no index moves. Unknown members are ignored (the
+    /// gap-detection path handles real divergence).
+    pub(crate) fn apply_touch(&self, rec: Arc<CollectionRecord>) {
+        let mut shard = self.shard_of(rec.member).write();
+        if let Some(slot) = shard.records.get_mut(&rec.member) {
+            debug_assert_eq!(slot.attrs, rec.attrs, "a Touch never changes attributes");
+            *slot = Arc::clone(&rec);
+            self.log_delta(DeltaOp::Touch(rec));
             self.bump_epoch();
         }
     }
@@ -453,7 +451,7 @@ impl Collection {
     pub(crate) fn apply_remove(&self, member: Loid) {
         let mut shard = self.shard_of(member).write();
         if shard.remove(member).is_some() {
-            self.log_delta(|| DeltaOp::Remove { member });
+            self.log_delta(DeltaOp::Remove { member });
             self.bump_epoch();
         }
     }
@@ -466,12 +464,12 @@ impl Collection {
             let members: Vec<Loid> = shard.records.keys().copied().collect();
             for member in members {
                 shard.remove(member);
-                self.log_delta(|| DeltaOp::Remove { member });
+                self.log_delta(DeltaOp::Remove { member });
                 self.bump_epoch();
             }
         }
         for rec in records {
-            self.apply_upsert(rec.member, rec.attrs.clone(), rec.joined_at, rec.updated_at);
+            self.apply_upsert(rec);
         }
     }
 
@@ -748,7 +746,7 @@ impl Collection {
                 .collect();
             for member in stale {
                 shard.remove(member);
-                self.log_delta(|| DeltaOp::Remove { member });
+                self.log_delta(DeltaOp::Remove { member });
                 self.bump_epoch();
                 self.bump(|m| MetricsLedger::bump(&m.collection_evictions));
                 dead.push(member);
@@ -964,8 +962,8 @@ mod tests {
         c.leave(&cred).unwrap();
         assert_eq!(c.delta_seq(), 3);
         let DeltaBatch::Ops(ops) = c.deltas_since(0) else { panic!("expected ops") };
-        assert!(matches!(ops[0].op, DeltaOp::Upsert { member, .. } if member == l(1)));
-        assert!(matches!(ops[1].op, DeltaOp::Touch { member, .. } if member == l(1)));
+        assert!(matches!(&ops[0].op, DeltaOp::Upsert(rec) if rec.member == l(1)));
+        assert!(matches!(&ops[1].op, DeltaOp::Touch(rec) if rec.member == l(1)));
         assert!(matches!(ops[2].op, DeltaOp::Remove { member } if member == l(1)));
         assert_eq!(c.deltas_since(3), DeltaBatch::UpToDate);
     }

@@ -16,8 +16,9 @@
 //! Sweeps are *incremental*: the daemon remembers a canonical digest of
 //! each host's last-pushed attributes, and when a new snapshot hashes
 //! identically it issues [`Collection::touch`] — a freshness bump that
-//! rewrites no indexes and ships a tiny [`Touch`](crate::delta::DeltaOp)
-//! delta to push mirrors — instead of a wholesale replace. An idle
+//! rewrites no indexes and logs a [`Touch`](crate::delta::DeltaOp)
+//! delta, which mirrors and caches apply without re-indexing or
+//! re-evaluating — instead of a wholesale replace. An idle
 //! fleet therefore costs each sweep O(hosts) hash-and-touch, not
 //! O(hosts × attrs) index churn.
 
@@ -164,45 +165,48 @@ impl DataCollectionDaemon {
             }
             let digest = attrs_digest(&attrs);
             let mut targets = self.targets.write();
-            for t in targets.iter_mut() {
-                match t.credentials.get(&loid) {
+            let n = targets.len();
+            let mut attrs = Some(attrs);
+            for (i, t) in targets.iter_mut().enumerate() {
+                // The last target takes the snapshot itself; only the
+                // ones before it pay for a copy. `None` once taken.
+                let mut snapshot = || if i + 1 < n { attrs.clone() } else { attrs.take() };
+                let outcome = match t.credentials.get(&loid) {
                     // Unchanged snapshot: bump freshness only. No index
-                    // rewrite, and push mirrors get a Touch delta
-                    // instead of the full attribute set.
-                    Some((cred, last)) if *last == digest => {
-                        match t.collection.touch(cred, now) {
-                            Ok(()) => refreshed += 1,
-                            Err(legion_core::LegionError::NoSuchObject(_)) => {
-                                // TTL-evicted while unreachable — re-join.
-                                let cred = t.collection.join_with(loid, attrs.clone(), now);
-                                t.credentials.insert(loid, (cred, digest));
-                                refreshed += 1;
-                            }
-                            Err(_) => {}
-                        }
+                    // rewrite, and the log gets a Touch delta instead
+                    // of a re-evaluated Upsert.
+                    Some((cred, seen)) if *seen == digest => t.collection.touch(cred, now),
+                    // Replace wholesale: the pull model snapshots state.
+                    Some((cred, _)) => t.collection.replace(
+                        cred,
+                        snapshot().expect("first use of the snapshot for this target"),
+                        now,
+                    ),
+                    None => Err(legion_core::LegionError::NoSuchObject(loid)),
+                };
+                match outcome {
+                    Ok(()) => {
+                        t.credentials.get_mut(&loid).expect("matched above").1 = digest;
+                        refreshed += 1;
                     }
-                    Some((cred, _)) => {
-                        // Replace wholesale: the pull model snapshots
-                        // state. A missing record means the member was
-                        // TTL-evicted while unreachable — re-join.
-                        match t.collection.replace(cred, attrs.clone(), now) {
-                            Ok(()) => {
-                                t.credentials.get_mut(&loid).unwrap().1 = digest;
-                                refreshed += 1;
+                    // First contact, or TTL-evicted while unreachable:
+                    // (re-)join. A failed replace has consumed the last
+                    // target's snapshot, so that rare path asks the
+                    // host again.
+                    Err(legion_core::LegionError::NoSuchObject(_)) => {
+                        let (attrs, digest) = match snapshot() {
+                            Some(attrs) => (attrs, digest),
+                            None => {
+                                let attrs = host.attributes();
+                                let digest = attrs_digest(&attrs);
+                                (attrs, digest)
                             }
-                            Err(legion_core::LegionError::NoSuchObject(_)) => {
-                                let cred = t.collection.join_with(loid, attrs.clone(), now);
-                                t.credentials.insert(loid, (cred, digest));
-                                refreshed += 1;
-                            }
-                            Err(_) => {}
-                        }
-                    }
-                    None => {
-                        let cred = t.collection.join_with(loid, attrs.clone(), now);
+                        };
+                        let cred = t.collection.join_with(loid, attrs, now);
                         t.credentials.insert(loid, (cred, digest));
                         refreshed += 1;
                     }
+                    Err(_) => {}
                 }
             }
         }

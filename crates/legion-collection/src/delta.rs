@@ -12,38 +12,36 @@
 //!
 //! Three operation kinds keep the common case cheap:
 //!
-//! * [`DeltaOp::Upsert`] — a join, update, or replace; carries the full
-//!   attribute snapshot plus both timestamps so the mirror's record is
-//!   byte-identical to the source's,
+//! * [`DeltaOp::Upsert`] — a join, update, or replace; carries the
+//!   record snapshot the store itself installed,
 //! * [`DeltaOp::Touch`] — a freshness bump with unchanged attributes
-//!   (the incremental pull daemon's no-change fast path); mirrors
-//!   update `updated_at` without touching indexes,
+//!   (the incremental pull daemon's no-change fast path); carries the
+//!   stored snapshot too, and consumers re-point to it without touching
+//!   indexes or re-evaluating anything,
 //! * [`DeltaOp::Remove`] — a leave or TTL eviction.
+//!
+//! A logged record is immutable and *shared*: the one
+//! `Arc<CollectionRecord>` sits in the source's store, in the log, in
+//! every mirror that applied the op and in every cache that patched
+//! from it, so logging or shipping a change copies no attributes. Each
+//! op re-states the member's post-change state, which keeps replay from
+//! a conservatively old anchor idempotent.
 
-use legion_core::{AttributeDb, Loid, SimTime};
+use crate::record::CollectionRecord;
+use legion_core::Loid;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One logged membership change.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeltaOp {
-    /// Join/update/replace: the record's full post-change state.
-    Upsert {
-        /// The member.
-        member: Loid,
-        /// The complete attribute snapshot after the change.
-        attrs: AttributeDb,
-        /// When the member originally joined.
-        joined_at: SimTime,
-        /// When this change happened.
-        updated_at: SimTime,
-    },
-    /// Freshness bump with unchanged attributes.
-    Touch {
-        /// The member.
-        member: Loid,
-        /// The new freshness timestamp.
-        updated_at: SimTime,
-    },
+    /// Join/update/replace: the member's post-change record — the very
+    /// snapshot the logging store holds, never a copy of it.
+    Upsert(Arc<CollectionRecord>),
+    /// Freshness bump: the stored snapshot after the bump. Its
+    /// attributes equal those of the member's previous logged state;
+    /// only `updated_at` moved.
+    Touch(Arc<CollectionRecord>),
     /// Leave or eviction.
     Remove {
         /// The departed member.
@@ -123,9 +121,13 @@ impl ChangeLog {
             Some(front) if front.seq > applied_seq + 1 => {
                 DeltaBatch::Gap { oldest_available: front.seq, newest: self.newest_seq() }
             }
-            Some(_) => DeltaBatch::Ops(
-                self.log.iter().filter(|d| d.seq > applied_seq).cloned().collect(),
-            ),
+            // Sequences are contiguous, so the first wanted delta sits
+            // at a known offset: nothing at or before `applied_seq` is
+            // visited.
+            Some(front) => {
+                let skip = (applied_seq + 1 - front.seq) as usize;
+                DeltaBatch::Ops(self.log.range(skip..).cloned().collect())
+            }
         }
     }
 }
@@ -166,6 +168,33 @@ mod tests {
         assert_eq!(ops.len(), 3);
         // A mirror at 0 (never synced) is also gapped.
         assert_eq!(log.since(0), DeltaBatch::Gap { oldest_available: 3, newest: 5 });
+    }
+
+    /// `since` seeks; it must find what filtering the whole log found.
+    #[test]
+    fn seeking_since_equals_the_filtering_oracle() {
+        for capacity in 1..=8u64 {
+            let mut log = ChangeLog::new(capacity as usize);
+            for pushed in 0..=20u64 {
+                if pushed > 0 {
+                    log.push(rm(pushed));
+                }
+                let oldest = pushed.saturating_sub(capacity) + 1;
+                for k in 0..=pushed + 2 {
+                    let want = if k >= pushed {
+                        DeltaBatch::UpToDate
+                    } else if k + 1 < oldest {
+                        DeltaBatch::Gap { oldest_available: oldest, newest: pushed }
+                    } else {
+                        DeltaBatch::Ops(log.log.iter().filter(|d| d.seq > k).cloned().collect())
+                    };
+                    assert_eq!(log.since(k), want, "cap {capacity}, {pushed} pushed, k {k}");
+                    if let DeltaBatch::Ops(ops) = want {
+                        assert!(ops.iter().map(|d| d.seq).eq(k + 1..=pushed), "contiguous");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -143,12 +143,8 @@ impl FederatedCollection {
                 DeltaBatch::Ops(ops) => {
                     for delta in ops {
                         match delta.op {
-                            DeltaOp::Upsert { member, attrs, joined_at, updated_at } => {
-                                link.mirror.apply_upsert(member, attrs, joined_at, updated_at);
-                            }
-                            DeltaOp::Touch { member, updated_at } => {
-                                link.mirror.apply_touch(member, updated_at);
-                            }
+                            DeltaOp::Upsert(rec) => link.mirror.apply_upsert(rec),
+                            DeltaOp::Touch(rec) => link.mirror.apply_touch(rec),
                             DeltaOp::Remove { member } => link.mirror.apply_remove(member),
                         }
                         link.applied_seq = delta.seq;

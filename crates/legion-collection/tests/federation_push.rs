@@ -126,3 +126,44 @@ fn partitioned_push_member_is_skipped_and_ages_out() {
     assert_eq!(mirror.dump(), source.dump());
     assert_eq!(f.query("$host_load > 0.5").unwrap().len(), 1);
 }
+
+/// Replication ships the stored snapshot, not a copy of it: after every
+/// kind of sync — the initial snapshot, an Upsert, a Touch, a gap
+/// resync — each mirrored record *is* the source's `Arc`.
+#[test]
+fn mirror_shares_the_sources_snapshots() {
+    let source = Collection::new(11);
+    source.enable_deltas(4);
+    let creds: Vec<_> = (0..3u64)
+        .map(|i| source.join_with(host(i), attrs("IRIX", i as f64 / 10.0), SimTime::ZERO))
+        .collect();
+    let f = FederatedCollection::new();
+    let mirror = f.add_push_member("remote.edu", Arc::clone(&source));
+    let assert_shared = |why: &str| {
+        assert_eq!(mirror.len(), source.len(), "{why}");
+        for rec in source.dump() {
+            let mirrored = mirror.get(rec.member).expect("mirrored");
+            assert!(Arc::ptr_eq(&mirrored, &rec), "{why}: {} was copied", rec.member);
+        }
+    };
+    assert_shared("initial snapshot");
+
+    source.replace(&creds[0], attrs("Linux", 0.7), SimTime::from_secs(1)).unwrap();
+    source
+        .update(&creds[1], &AttributeDb::new().with("host_load", 0.9), SimTime::from_secs(1))
+        .unwrap();
+    source.touch(&creds[2], SimTime::from_secs(2)).unwrap();
+    assert_eq!(f.push_sync().applied_ops, 3);
+    assert_shared("upserts and a touch");
+    // The touch moved freshness on the mirror and left its indexes
+    // serving the unchanged attributes.
+    assert_eq!(mirror.get(host(2)).unwrap().updated_at, SimTime::from_secs(2));
+    assert_eq!(mirror.query("$host_load == 0.2").unwrap().len(), 1);
+
+    // Five more changes overflow the four-entry log: gap, full resync.
+    for round in 0..5u64 {
+        source.touch(&creds[(round % 3) as usize], SimTime::from_secs(3 + round)).unwrap();
+    }
+    assert_eq!(f.push_sync().resyncs, 1);
+    assert_shared("gap resync");
+}

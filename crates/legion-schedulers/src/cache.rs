@@ -27,11 +27,16 @@
 //! generation *while still holding the written shard's guard*, so a
 //! reader that observes an unchanged generation cannot have missed a
 //! completed mutation. Second, deltas are idempotent re-statements of
-//! post-change record state (`Upsert` carries the full attribute
-//! snapshot and both timestamps), so patching from a conservatively
-//! old anchor — the epoch is always read *before* the query or the
-//! delta pull — at worst re-applies an op the snapshot already
-//! reflects, never corrupts it.
+//! post-change record state (`Upsert` and `Touch` carry the immutable
+//! record snapshot the store installed, shared rather than copied), so
+//! patching from a conservatively old anchor — the epoch is always read
+//! *before* the query or the delta pull — at worst re-applies an op the
+//! snapshot already reflects, never corrupts it.
+//!
+//! A served `Arc<Vec<Candidate>>` is an immutable snapshot. The patch
+//! goes through [`Arc::make_mut`]: in place — O(changed · log n), no
+//! copy — when no past serve is still held, and onto one copy of the
+//! list when a `place_many` worker still holds the set it was served.
 //!
 //! Concurrency: lookups share a read lock; a stale entry is refreshed
 //! by whichever worker reaches the entry's write lock first while the
@@ -186,7 +191,7 @@ impl CandidateCache {
         // Another worker may have refreshed while we waited for the
         // write lock; revalidate before doing any work.
         let epoch = collection.epoch();
-        if let Some(set) = state.as_ref() {
+        if let Some(set) = state.as_mut() {
             if set.epoch == epoch {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 collection.note_cache_serve("hit", set.candidates.len(), 0);
@@ -195,19 +200,15 @@ impl CandidateCache {
             match collection.deltas_since(set.epoch.delta_seq) {
                 DeltaBatch::Ops(ops) if ops.len() <= patch_budget(collection.len()) => {
                     let newest = ops.last().map_or(set.epoch.delta_seq, |d| d.seq);
-                    let mut list: Vec<Candidate> = (*set.candidates).clone();
+                    let list = Arc::make_mut(&mut set.candidates);
                     let mut reevaluated = 0u64;
                     for delta in ops {
-                        apply_delta(&mut list, query, delta.op, &mut reevaluated);
+                        apply_delta(list, query, delta.op, &mut reevaluated);
                     }
-                    let candidates = Arc::new(list);
                     self.patched.fetch_add(1, Ordering::Relaxed);
-                    collection.note_cache_serve("patched", candidates.len(), reevaluated);
-                    *state = Some(CachedSet {
-                        epoch: CollectionEpoch { generation: epoch.generation, delta_seq: newest },
-                        candidates: Arc::clone(&candidates),
-                    });
-                    return Ok(candidates);
+                    collection.note_cache_serve("patched", list.len(), reevaluated);
+                    set.epoch = CollectionEpoch { generation: epoch.generation, delta_seq: newest };
+                    return Ok(Arc::clone(&set.candidates));
                 }
                 DeltaBatch::Gap { .. } => {
                     self.gap_resyncs.fetch_add(1, Ordering::Relaxed);
@@ -240,25 +241,20 @@ fn compute(collection: &Collection, query: &Query, as_miss: bool) -> Vec<Candida
 
 /// Applies one logged change to a member-sorted candidate list.
 ///
-/// `Upsert` re-evaluates the predicate against the full post-change
-/// attribute snapshot it carries; `Touch` moves only the freshness
-/// timestamp — by the delta-log contract the attributes are unchanged,
-/// so the cached predicate verdict (and vault list) still stands and
-/// no re-evaluation happens; `Remove` is a plain delete. All three are
+/// `Upsert` re-evaluates the predicate against the post-change record
+/// it carries and, on a match, builds the candidate around that same
+/// shared record; `Touch` only re-points the candidate to the bumped
+/// record — by the delta-log contract the attributes are unchanged, so
+/// the cached predicate verdict (and vault list) still stands and no
+/// re-evaluation happens; `Remove` is a plain delete. All three are
 /// idempotent, which is what makes replaying from a conservative
 /// anchor safe.
 fn apply_delta(list: &mut Vec<Candidate>, query: &Query, op: DeltaOp, reevaluated: &mut u64) {
     match op {
-        DeltaOp::Upsert { member, attrs, joined_at, updated_at } => {
+        DeltaOp::Upsert(rec) => {
             *reevaluated += 1;
-            let pos = list.binary_search_by_key(&member, |c| c.record.member);
-            if query.matches(&attrs) {
-                let rec = Arc::new(legion_collection::CollectionRecord {
-                    member,
-                    attrs,
-                    joined_at,
-                    updated_at,
-                });
+            let pos = list.binary_search_by_key(&rec.member, |c| c.record.member);
+            if query.matches(&rec.attrs) {
                 let cand = Candidate::from_record(rec);
                 match pos {
                     Ok(i) => list[i] = cand,
@@ -268,11 +264,9 @@ fn apply_delta(list: &mut Vec<Candidate>, query: &Query, op: DeltaOp, reevaluate
                 list.remove(i);
             }
         }
-        DeltaOp::Touch { member, updated_at } => {
-            if let Ok(i) = list.binary_search_by_key(&member, |c| c.record.member) {
-                let mut rec = (*list[i].record).clone();
-                rec.updated_at = updated_at;
-                list[i].record = Arc::new(rec);
+        DeltaOp::Touch(rec) => {
+            if let Ok(i) = list.binary_search_by_key(&rec.member, |c| c.record.member) {
+                list[i].record = rec;
             }
         }
         DeltaOp::Remove { member } => {

@@ -175,6 +175,81 @@ fn upsert_churn_tracks_predicate_flips() {
     assert_serves_match(&bed);
 }
 
+/// A copy of a served set that shares nothing with it — not the list,
+/// not the records — so it still says what the set held when taken
+/// whatever happens to the original afterwards.
+fn deep_copy(set: &[Candidate]) -> Vec<Candidate> {
+    set.iter()
+        .map(|c| Candidate { record: Arc::new((*c.record).clone()), ..c.clone() })
+        .collect()
+}
+
+#[test]
+fn a_held_serve_stays_the_snapshot_it_was() {
+    let bed = bed(4, 32, Some(4096));
+    let held = serve(&bed.cached);
+    let as_taken = deep_copy(&held);
+    // Every kind of logged change lands while the set is held: a flip
+    // out of the predicate, a flip into it, a touch of a match, a leave.
+    let t = SimTime::from_secs(3);
+    bed.collection.replace(&bed.creds[1], host_attrs(64), t).unwrap();
+    bed.collection.replace(&bed.creds[0], host_attrs(1024), t).unwrap();
+    bed.collection.touch(&bed.creds[3], t).unwrap();
+    bed.collection.leave(&bed.creds[2]).unwrap();
+
+    let fresh = serve(&bed.cached);
+    assert_eq!(bed.cached.candidate_cache_stats().patched, 1, "the churn must patch");
+    assert_eq!(*held, as_taken, "a patch wrote through a set a caller still held");
+    assert!(!Arc::ptr_eq(&held, &fresh), "a held set cannot also be the patched one");
+    assert_ne!(*fresh, as_taken);
+    assert_serves_match(&bed);
+}
+
+#[test]
+fn an_unheld_set_is_patched_where_it_lies() {
+    let bed = bed(4, 32, Some(4096));
+    let primed = serve(&bed.cached);
+    let (list, buffer) = (Arc::as_ptr(&primed), primed.as_ptr());
+    drop(primed);
+    // One match changes and stays a match, another is only touched.
+    let t = SimTime::from_secs(3);
+    bed.collection.replace(&bed.creds[1], host_attrs(768), t).unwrap();
+    bed.collection.touch(&bed.creds[3], t).unwrap();
+
+    let patched = serve(&bed.cached);
+    assert_eq!(bed.cached.candidate_cache_stats().patched, 1);
+    assert_eq!(Arc::as_ptr(&patched), list, "an unshared set was copied to be patched");
+    assert_eq!(patched.as_ptr(), buffer, "an unshared candidate list was reallocated");
+    drop(patched);
+    assert_serves_match(&bed);
+}
+
+#[test]
+fn patched_candidates_share_the_stored_records() {
+    let bed = bed(4, 32, Some(4096));
+    serve(&bed.cached);
+    let assert_shared = |why: &str| {
+        let set = serve(&bed.cached);
+        assert!(!set.is_empty());
+        for c in set.iter() {
+            let stored = bed.collection.get(c.host).expect("served members are stored");
+            assert!(Arc::ptr_eq(&c.record, &stored), "{why}: {} holds a copy", c.host);
+        }
+    };
+    let t = SimTime::from_secs(3);
+    // Upsert path: a new match, and a match that changes in place.
+    bed.collection.replace(&bed.creds[0], host_attrs(1024), t).unwrap();
+    bed.collection.replace(&bed.creds[1], host_attrs(768), t).unwrap();
+    assert_shared("after upserts");
+    // Touch path: the store moves every timestamp onto a fresh record.
+    for cred in bed.creds.iter().take(12) {
+        bed.collection.touch(cred, SimTime::from_secs(4)).unwrap();
+    }
+    assert_shared("after touches");
+    let stats = bed.cached.candidate_cache_stats();
+    assert_eq!((stats.misses, stats.patched), (1, 2), "both rounds must have patched");
+}
+
 #[test]
 fn log_gap_forces_full_recompute() {
     // Capacity 8: churning 24 members overflows the bounded log, so the
@@ -342,6 +417,10 @@ enum Step {
     Leave(usize),
     Rejoin(usize, i64),
     Serve,
+    /// Take a serve and keep it, with a deep copy of what it held.
+    Hold,
+    /// Drop every kept serve, so the next patch may run in place.
+    Release,
 }
 
 fn step_strategy(members: usize) -> impl Strategy<Value = Step> {
@@ -352,6 +431,8 @@ fn step_strategy(members: usize) -> impl Strategy<Value = Step> {
         (0..members).prop_map(Step::Leave),
         (0..members, 0i64..1024).prop_map(|(i, m)| Step::Rejoin(i, m)),
         Just(Step::Serve),
+        Just(Step::Hold),
+        Just(Step::Release),
     ]
 }
 
@@ -362,7 +443,9 @@ proptest! {
     /// upserts (with and without vaults), touches, leaves and rejoins — across shard counts and
     /// delta-log capacities (including none, forcing recomputes, and
     /// tiny, forcing gaps) — a cached serve is bit-identical to a full
-    /// uncached query at every observation point.
+    /// uncached query at every observation point, and every serve a
+    /// caller still holds is element for element what it was when
+    /// taken, whether later patches ran in place or on a copy.
     #[test]
     fn cached_serves_are_bit_identical_to_uncached(
         shards in (0usize..3).prop_map(|i| [1usize, 2, 8][i]),
@@ -371,6 +454,7 @@ proptest! {
     ) {
         let mut bed = bed(shards, 12, capacity);
         assert_serves_match(&bed);
+        let mut held: Vec<(Arc<Vec<Candidate>>, Vec<Candidate>)> = Vec::new();
         let mut now = 1u64;
         for step in steps {
             now += 1;
@@ -388,8 +472,20 @@ proptest! {
                     bed.creds[i] = bed.collection.join_with(member_loid(i), host_attrs(m), t);
                 }
                 Step::Serve => assert_serves_match(&bed),
+                Step::Hold => {
+                    let set = serve(&bed.cached);
+                    let as_taken = deep_copy(&set);
+                    held.push((set, as_taken));
+                }
+                Step::Release => held.clear(),
+            }
+            for (set, as_taken) in &held {
+                prop_assert_eq!(&**set, as_taken, "a held serve changed by t = {}", now);
             }
         }
         assert_serves_match(&bed);
+        for (set, as_taken) in &held {
+            prop_assert_eq!(&**set, as_taken);
+        }
     }
 }
