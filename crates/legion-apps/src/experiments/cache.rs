@@ -49,11 +49,10 @@ fn serve(ctx: &SchedCtx) {
 
 /// E-C10: how much evaluation work a cached serve does as per-serve
 /// churn grows, versus the full query it replaces. The counters are
-/// the deterministic side of the `cached_steady` bench tier
-/// (BENCH_place_throughput.json carries the wall-clock): `patched`
-/// serves re-evaluate only the churned records, and the `len/4` patch
-/// budget (2 500 here) is where the cache switches to the indexed
-/// recompute — between the 25% and 50% rows.
+/// deterministic (the e2e `churn_10k` workload carries the
+/// wall-clock): `patched` serves re-evaluate only the churned records,
+/// and the `len/4` patch budget (2 500 here) is where the cache
+/// switches to the indexed recompute — between the 25% and 50% rows.
 pub fn e_c10_candidate_cache_churn() -> Table {
     let mut t = Table::new(
         "E-C10",

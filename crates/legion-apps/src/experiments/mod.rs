@@ -2,9 +2,9 @@
 //!
 //! Each `e_*` function builds its own deterministic testbed, runs the
 //! experiment described in DESIGN.md's per-experiment index, and returns
-//! a [`Table`]. The `experiments` binary in the
-//! bench crate prints all of them; EXPERIMENTS.md records the outputs
-//! and compares them to the paper's claims.
+//! a [`Table`]. This crate's `experiments` binary prints all of them
+//! (`experiments_output.md`); EXPERIMENTS.md records the outputs and
+//! compares them to the paper's claims.
 
 mod batch;
 mod cache;

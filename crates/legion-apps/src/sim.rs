@@ -178,9 +178,7 @@ pub fn run_chaos_soak(cfg: &SimSoakConfig) -> Result<SimSoakReport, SimError> {
     let sink = cfg.trace.then(|| tb.fabric.enable_tracing());
     let sim = SimHandle::new(Arc::clone(tb.fabric.clock()));
     tb.fabric.attach_sim(sim.clone());
-    if cfg.wire_emulation {
-        tb.fabric.set_wire_emulation(1);
-    }
+    tb.fabric.set_wire_emulation(cfg.wire_emulation);
 
     // Chaos plan: churn + partitions, all inside the first 5/6 of the
     // horizon so every event (and heal) fires before the ticks stop.
@@ -618,12 +616,6 @@ pub struct TenantOutcome {
 pub struct IngressSimReport {
     /// Per-tenant outcomes, in registration order.
     pub tenants: Vec<TenantOutcome>,
-    /// Per-priority-class trace rollups (index =
-    /// [`PriorityClass::index`](legion_ingress::PriorityClass::index));
-    /// `histogram(SpanKind::Episode)` is the placement-latency
-    /// distribution the admission bench publishes. Empty when tracing
-    /// was off.
-    pub class_rollups: Vec<legion_trace::TraceRollup>,
     /// Per-class goodput fairness (max/min completed across the
     /// class's tenants; `None` for classes with fewer than 2 tenants).
     pub fairness: Vec<(legion_ingress::PriorityClass, Option<f64>)>,
@@ -635,25 +627,6 @@ pub struct IngressSimReport {
     pub trace_json: Option<String>,
     /// Scheduler statistics for the run.
     pub stats: legion_fabric::SimRunStats,
-}
-
-impl IngressSimReport {
-    /// The worst (largest) finite per-class fairness ratio — the
-    /// single-number fairness headline. `None` when no class had two
-    /// tenants, or some tenant was starved to zero (infinite ratio).
-    pub fn worst_fairness(&self) -> Option<f64> {
-        let mut worst: Option<f64> = None;
-        for (_, r) in &self.fairness {
-            match r {
-                Some(r) if r.is_finite() => {
-                    worst = Some(worst.map_or(*r, |w: f64| w.max(*r)));
-                }
-                Some(_) => return None,
-                None => {}
-            }
-        }
-        worst
-    }
 }
 
 /// Runs the multi-tenant front-door scenario as a discrete-event
@@ -672,7 +645,7 @@ pub fn run_ingress_sim(cfg: &IngressSimConfig) -> Result<IngressSimReport, SimEr
     let sink = cfg.trace.then(|| tb.fabric.enable_tracing());
     let sim = SimHandle::new(Arc::clone(tb.fabric.clock()));
     tb.fabric.attach_sim(sim.clone());
-    tb.fabric.set_wire_emulation(1);
+    tb.fabric.set_wire_emulation(true);
 
     let mut plan = FaultPlan::new();
     if cfg.chaos_crashes > 0 {
@@ -780,8 +753,6 @@ pub fn run_ingress_sim(cfg: &IngressSimConfig) -> Result<IngressSimReport, SimEr
             stats: door.stats(*tenant).expect("registered tenant"),
         })
         .collect();
-    let class_rollups =
-        if cfg.trace { door.class_rollups() } else { Vec::new() };
     let fairness = PriorityClass::ALL
         .iter()
         .map(|&c| (c, door.fairness_ratio(c)))
@@ -789,7 +760,6 @@ pub fn run_ingress_sim(cfg: &IngressSimConfig) -> Result<IngressSimReport, SimEr
 
     Ok(IngressSimReport {
         tenants,
-        class_rollups,
         fairness,
         fault_counts,
         metrics: ticker.tb.fabric.metrics().snapshot(),

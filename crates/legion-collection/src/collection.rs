@@ -612,8 +612,7 @@ impl Collection {
 
     /// Runs a pre-compiled query by scanning every record, ignoring the
     /// indexes. This is the reference implementation the planner must
-    /// agree with; it is kept public for the equivalence test suite and
-    /// the before/after benchmark.
+    /// agree with; it is kept public for the equivalence test suite.
     pub fn query_scan(&self, query: &Query) -> Vec<Arc<CollectionRecord>> {
         self.bump(|m| MetricsLedger::bump(&m.collection_queries));
         let span = self.query_span();

@@ -10,6 +10,7 @@
 
 use legion_collection::{parse_query, Collection, DerivedAttribute, MemberCredential};
 use legion_core::{AttrValue, AttributeDb, Loid, LoidKind, SimDuration, SimTime};
+use legion_fabric::MetricsLedger;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -312,6 +313,56 @@ fn fallback_shapes_are_correct() {
     let rs = c.query(r#"$os != "IRIX""#).unwrap();
     assert_eq!(rs.len(), 1);
     assert_eq!(rs[0].member, loid(2));
+}
+
+/// Selective queries are answered from the indexes, not by scanning:
+/// on a 10,000-record fleet (`HPUX` on 1%, `IRIX` on a third, `5.3` on
+/// every tenth host) exact plans re-evaluate no record at all, while a
+/// non-selective range and the reference scan each examine every one.
+#[test]
+fn selective_queries_skip_reevaluation() {
+    const N: u64 = 10_000;
+    let c = Collection::new(9);
+    for i in 0..N {
+        let os = match i {
+            i if i % 100 == 0 => "HPUX",
+            i if i % 3 == 0 => "IRIX",
+            _ => "Linux",
+        };
+        let attrs = AttributeDb::new()
+            .with("host_os_name", os)
+            .with("host_os_version", if i % 10 == 0 { "5.3" } else { "6.5" })
+            .with("host_load", (i % 100) as f64 / 50.0);
+        c.join_with(loid(i), attrs, SimTime::ZERO);
+    }
+    let metrics = Arc::new(MetricsLedger::default());
+    c.set_metrics(Arc::clone(&metrics));
+
+    for (query, expected_scanned) in [
+        (r#"match("^IRIX$", $host_os_name) and match("^5\.", $host_os_version)"#, 0),
+        (r#"match("PUX", $host_os_name)"#, 0),
+        (r#"$host_os_name == "HPUX""#, 0),
+        ("$host_load >= 0.0", N),
+    ] {
+        let q = parse_query(query).unwrap_or_else(|e| panic!("{query}: {e}"));
+        let before = metrics.snapshot();
+        let indexed = c.query_parsed(&q);
+        let between = metrics.snapshot();
+        let scanned = c.query_scan(&q);
+        let after = metrics.snapshot();
+        assert_eq!(indexed, scanned, "indexed and scan paths disagree on {query}");
+        assert!(!indexed.is_empty(), "{query} selects nothing");
+        assert_eq!(
+            between.delta(&before).collection_records_scanned,
+            expected_scanned,
+            "records re-evaluated by {query}"
+        );
+        assert_eq!(
+            after.delta(&between).collection_records_scanned,
+            N,
+            "query_scan examines every record for {query}"
+        );
+    }
 }
 
 /// The Arc snapshots returned by queries are immune to later updates

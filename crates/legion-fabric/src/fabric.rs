@@ -40,12 +40,12 @@ pub struct Fabric {
     rng: DetRng,
     link_rng: Mutex<SmallRng>,
     chaos: Mutex<Option<ChaosState>>,
-    /// Wire-latency emulation: real nanoseconds slept per simulated
-    /// microsecond of message latency (0 = off, the default).
-    realtime_ns_per_sim_us: std::sync::atomic::AtomicU64,
-    /// Attached discrete-event scheduler, if any. When present, waits
-    /// that would block a thread (wire emulation, enactor backoff) become
-    /// scheduled events instead — see [`Fabric::attach_sim`].
+    /// Wire-latency emulation: sim tasks park for each message's link
+    /// latency (off by default) — see [`Fabric::set_wire_emulation`].
+    wire_emulation: std::sync::atomic::AtomicBool,
+    /// Attached discrete-event scheduler, if any. When present, a sim
+    /// task's waits (wire emulation, enactor backoff) are scheduled
+    /// events — see [`Fabric::attach_sim`].
     sim: RwLock<Option<crate::sim::SimHandle>>,
 }
 
@@ -83,7 +83,7 @@ impl Fabric {
             rng,
             link_rng,
             chaos: Mutex::new(None),
-            realtime_ns_per_sim_us: std::sync::atomic::AtomicU64::new(0),
+            wire_emulation: std::sync::atomic::AtomicBool::new(false),
             sim: RwLock::new(None),
         })
     }
@@ -238,56 +238,31 @@ impl Fabric {
         // trace span (if any) absorbs it instead, so per-stage latency
         // histograms see where the simulated network time went.
         legion_trace::charge_active(lat);
-        let scale = self
-            .realtime_ns_per_sim_us
-            .load(std::sync::atomic::Ordering::Relaxed);
-        if scale > 0 {
+        if self.wire_emulation.load(std::sync::atomic::Ordering::Relaxed) {
+            // The wait is an event: a sim task parks until the wake at
+            // `now + lat` fires, so the episode spends the wire latency
+            // in virtual time while other tasks run. Non-task callers
+            // (control-thread closures, fan-out workers) and fabrics with
+            // no scheduler attached cannot park and skip the wait; their
+            // latency is still charged above.
             if let Some(sim) = self.sim.read().as_ref() {
-                // Under the discrete-event scheduler the wait is an
-                // event, not a sleep: a sim task parks until the wake at
-                // `now + lat` fires, so the episode genuinely spends the
-                // wire latency in virtual time while other tasks run —
-                // at full wall-clock speed. Non-task callers (control
-                // thread closures, fan-out workers) cannot park and skip
-                // the wait; their latency is still charged above.
                 if sim.in_task() {
                     sim.sleep(lat);
-                }
-            } else {
-                // Emulated wire latency: block the calling thread for
-                // real time proportional to the simulated latency, as a
-                // real RPC over this link would. Sub-20µs sleeps are
-                // skipped — the kernel timer floor would inflate them
-                // well past scale.
-                let ns = lat.as_micros().saturating_mul(scale);
-                if ns >= 20_000 {
-                    std::thread::sleep(std::time::Duration::from_nanos(ns));
                 }
             }
         }
         Ok(lat)
     }
 
-    /// Enables wire-latency emulation: every metered message blocks its
-    /// calling thread for `ns_per_sim_us` real nanoseconds per simulated
-    /// microsecond of link latency (`0`, the default, disables it).
+    /// Turns wire-latency emulation on or off (off by default): with a
+    /// scheduler attached ([`Fabric::attach_sim`]), a sim task that sends
+    /// a metered message parks for the link latency in virtual time.
     ///
-    /// Simulated time is unaffected — ledger charges, trace spans, and
-    /// every loss draw are identical with emulation on or off. What
-    /// changes is *wall-clock* behaviour: threads genuinely wait out
-    /// their messages, so concurrency that overlaps wide-area latency
-    /// (reservation fan-out, batched placement) shows its real effect
-    /// even on a single core, exactly as it would against a real WAN.
-    /// Sleeps that would round below ~20µs are skipped to stay clear of
-    /// the kernel timer floor.
-    ///
-    /// With a scheduler attached ([`Fabric::attach_sim`]), the wait is a
-    /// sim-time event instead: the calling task parks for the message's
-    /// latency in *virtual* time and the run never sleeps for real —
-    /// latency-overlap scenarios execute at full speed.
-    pub fn set_wire_emulation(&self, ns_per_sim_us: u64) {
-        self.realtime_ns_per_sim_us
-            .store(ns_per_sim_us, std::sync::atomic::Ordering::Relaxed);
+    /// Ledger charges, trace spans and every loss draw are identical
+    /// with emulation on or off; only the interleaving of sim tasks
+    /// changes. Nothing ever blocks in real time.
+    pub fn set_wire_emulation(&self, on: bool) {
+        self.wire_emulation.store(on, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Mutates the topology (e.g. inject loss mid-experiment).
@@ -334,11 +309,11 @@ impl Fabric {
 
     /// Attaches a discrete-event scheduler (which must drive this
     /// fabric's clock). While attached, [`Fabric::wait`] parks the
-    /// calling sim task instead of advancing the clock directly, and
-    /// wire-emulation waits become scheduled events instead of real
-    /// `thread::sleep`s. The scoped-thread path is unaffected for
-    /// fabrics that never attach — the config switch is simply whether
-    /// a harness calls this.
+    /// calling sim task instead of advancing the clock directly, and —
+    /// with [`Fabric::set_wire_emulation`] on — a sim task's metered
+    /// messages park it for their link latency. The scoped-thread path
+    /// is unaffected for fabrics that never attach — the config switch
+    /// is simply whether a harness calls this.
     pub fn attach_sim(&self, sim: crate::sim::SimHandle) {
         *self.sim.write() = Some(sim);
     }
@@ -698,38 +673,6 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12));
-    }
-
-    #[test]
-    fn wire_emulation_blocks_real_time_without_changing_results() {
-        let f = Fabric::new(
-            DomainTopology::uniform(2, SimDuration::from_micros(100), SimDuration::from_millis(40)),
-            7,
-        );
-        let (a, b) = (Loid::fresh(LoidKind::Service), Loid::fresh(LoidKind::Service));
-        f.place(a, DomainId(0));
-        f.place(b, DomainId(1));
-        let plain = f.link(a, b).expect("lossless link");
-
-        // 10 ns per simulated µs: the 40 ms hop emulates as 400 µs.
-        f.set_wire_emulation(10);
-        let start = std::time::Instant::now();
-        let emulated = f.link(a, b).expect("lossless link");
-        let waited = start.elapsed();
-        f.set_wire_emulation(0);
-
-        assert_eq!(plain, emulated, "emulation never alters simulated results");
-        assert!(
-            waited >= std::time::Duration::from_micros(350),
-            "inter-domain hop must block ~400µs real, waited {waited:?}"
-        );
-        // Intra-domain (100 µs sim → 1 µs real) stays under the 20 µs
-        // sleep floor and is skipped entirely.
-        f.set_wire_emulation(10);
-        let start = std::time::Instant::now();
-        f.link(a, a).expect("lossless link");
-        assert!(start.elapsed() < std::time::Duration::from_millis(5));
-        f.set_wire_emulation(0);
     }
 
     #[test]

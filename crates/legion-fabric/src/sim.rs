@@ -375,11 +375,6 @@ impl SimHandle {
     pub fn format_schedule(&self, tail: usize) -> String {
         format_schedule_locked(&self.lock(), tail)
     }
-
-    /// Number of events executed so far (schedule log length).
-    pub fn events_executed(&self) -> usize {
-        self.lock().log.len()
-    }
 }
 
 fn format_schedule_locked(st: &SimState, tail: usize) -> String {

@@ -94,7 +94,7 @@ fn run_once(seed: u64, load: &[TaskPlan]) -> (String, MetricsSnapshot, SimRunSta
     let sink = fabric.enable_tracing();
     let sim = SimHandle::new(Arc::clone(fabric.clock()));
     fabric.attach_sim(sim.clone());
-    fabric.set_wire_emulation(1);
+    fabric.set_wire_emulation(true);
 
     // A fault plan that actually bites: one partition, one link burst,
     // each firing (and healing) as its own scheduled event.

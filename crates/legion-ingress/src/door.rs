@@ -378,7 +378,7 @@ impl FrontDoor {
     /// Runs an admitted placement through the [`ScheduleDriver`] and
     /// concludes the permit from the result. The placement's trace
     /// episode is recorded against the tenant, which is what powers
-    /// [`FrontDoor::tenant_rollups`] / [`FrontDoor::class_rollups`].
+    /// [`FrontDoor::tenant_rollups`].
     pub fn place(
         &self,
         permit: Permit,
@@ -735,19 +735,6 @@ impl FrontDoor {
             .fabric
             .tracer()
             .rollup_grouped(groups, |ep| episodes.get(&ep).map(|t| t.index()))
-    }
-
-    /// Per-priority-class trace rollups (index =
-    /// [`PriorityClass::index`]) — the source of the per-class p50/p95/
-    /// p99 placement latency the admission bench publishes.
-    pub fn class_rollups(&self) -> Vec<TraceRollup> {
-        let st = self.state.lock();
-        let episodes = st.episodes.clone();
-        let class_of: Vec<PriorityClass> = st.tenants.iter().map(|t| t.class).collect();
-        drop(st);
-        self.ctx.fabric.tracer().rollup_grouped(PriorityClass::COUNT, |ep| {
-            episodes.get(&ep).map(|t| class_of[t.index()].index())
-        })
     }
 
     /// Max/min goodput (completed placements) across `class`'s tenants:

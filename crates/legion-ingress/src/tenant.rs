@@ -56,8 +56,8 @@ impl PriorityClass {
         }
     }
 
-    /// Stable lowercase name (used as a trace attribute and in bench
-    /// metric names, so changing these changes `BENCH_admission.json`).
+    /// Stable lowercase name (used as the `class` trace attribute, so
+    /// changing these changes every exported trace).
     pub fn as_str(self) -> &'static str {
         match self {
             PriorityClass::Interactive => "interactive",

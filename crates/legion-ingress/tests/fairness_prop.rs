@@ -160,3 +160,25 @@ proptest! {
         );
     }
 }
+
+/// The arrival-rate sweep knob (`IngressSimConfig::rate_scaled`): the
+/// same population at 4× its rate presents more requests, yet no
+/// tenant out-admits its allotment.
+#[test]
+fn rate_sweep_raises_load_but_not_admissions_past_allotment() {
+    let cfg = scenario(0xAD_0115, 2.0, &[(0, 1.5), (1, 2.0)]);
+    let [base, fast] = [1.0, 4.0].map(|k| run_guarded(&cfg.clone().rate_scaled(k)));
+    let submitted = |r: &IngressSimReport| r.tenants.iter().map(|t| t.stats.submitted).sum::<u64>();
+    assert!(
+        submitted(&fast) > submitted(&base),
+        "4x rate submitted {} <= 1x {}",
+        submitted(&fast),
+        submitted(&base)
+    );
+    for t in &fast.tenants {
+        let policy = cfg.ingress.policy(t.class);
+        let cap = TokenBucket::allotment(policy.rate_per_sec, policy.burst, horizon());
+        assert!(t.stats.admitted <= cap, "{} admitted {} > allotment {cap}", t.name, t.stats.admitted);
+        assert_eq!(t.stats.submitted, t.stats.admitted + t.stats.rejected());
+    }
+}

@@ -32,8 +32,7 @@ impl SchedCtx {
 
     /// Turns the candidate-set cache on or off (on by default).
     /// Disabling also drops every cached set; schedulers then pay a
-    /// full Collection query per placement, which is the uncached
-    /// baseline the steady-state bench compares against.
+    /// full Collection query per placement — the uncached baseline.
     pub fn set_candidate_cache_enabled(&self, on: bool) {
         self.candidates.set_enabled(on);
     }
