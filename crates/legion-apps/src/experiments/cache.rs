@@ -28,7 +28,7 @@ fn attrs(vault: Loid, i: usize, tick: u64) -> AttributeDb {
         .with(well_known::MEMORY_MB, 128 + ((i as u64 + tick) % 8) as i64 * 64)
         .with(
             well_known::COMPATIBLE_VAULTS,
-            AttrValue::List(vec![AttrValue::Str(vault.to_string())]),
+            AttrValue::List(vec![AttrValue::from(vault.to_string())]),
         )
 }
 

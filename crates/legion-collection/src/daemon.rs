@@ -34,9 +34,9 @@ use std::sync::Arc;
 
 struct Target {
     collection: Arc<Collection>,
-    /// Per-member credential plus the canonical digest of the
+    /// Per-member credential tag plus the canonical digest of the
     /// attributes last pushed, for the touch-vs-replace decision.
-    credentials: BTreeMap<Loid, (MemberCredential, u64)>,
+    credentials: BTreeMap<Loid, (u64, u64)>,
 }
 
 /// A canonical digest of an attribute database: name-ordered (the
@@ -171,14 +171,15 @@ impl DataCollectionDaemon {
                 // The last target takes the snapshot itself; only the
                 // ones before it pay for a copy. `None` once taken.
                 let mut snapshot = || if i + 1 < n { attrs.clone() } else { attrs.take() };
+                let cred = |tag: u64| MemberCredential { member: loid, tag };
                 let outcome = match t.credentials.get(&loid) {
                     // Unchanged snapshot: bump freshness only. No index
                     // rewrite, and the log gets a Touch delta instead
                     // of a re-evaluated Upsert.
-                    Some((cred, seen)) if *seen == digest => t.collection.touch(cred, now),
+                    Some(&(tag, seen)) if seen == digest => t.collection.touch(&cred(tag), now),
                     // Replace wholesale: the pull model snapshots state.
-                    Some((cred, _)) => t.collection.replace(
-                        cred,
+                    Some(&(tag, _)) => t.collection.replace(
+                        &cred(tag),
                         snapshot().expect("first use of the snapshot for this target"),
                         now,
                     ),
@@ -203,7 +204,7 @@ impl DataCollectionDaemon {
                             }
                         };
                         let cred = t.collection.join_with(loid, attrs, now);
-                        t.credentials.insert(loid, (cred, digest));
+                        t.credentials.insert(loid, (cred.tag, digest));
                         refreshed += 1;
                     }
                     Err(_) => {}
@@ -244,7 +245,7 @@ mod tests {
         assert_eq!(d.pull_once(SimTime::ZERO), 1);
         assert_eq!(c.len(), 1);
         let rec = c.get(h.loid()).unwrap();
-        assert_eq!(rec.attrs.get_str("host_name"), Some("h0"));
+        assert_eq!(rec.attrs.get_str(well_known::HOST_NAME), Some("h0"));
 
         // Second pull replaces, bumping updated_at.
         h.reassess(SimTime::from_secs(5));

@@ -19,8 +19,15 @@
 //! * a per-attribute **numeric index** (sorted over a total order on
 //!   `f64`, serving `<`, `<=`, `>`, `>=`, `==` ranges with the same
 //!   int→float coercion the evaluator uses),
-//! * a **presence index** (attribute name → members), serving
-//!   `exists()`.
+//! * a **presence index** serving `exists()`, derived from the three
+//!   above: it stores only the members whose value no value index holds
+//!   (booleans, lists, `NaN`).
+//!
+//! Every index maps a key to a bucket of members: a key held by one
+//! member — a host's name or LOID text, a trigram of one value — costs
+//! that member inline, and only a shared key keeps a `BTreeSet`. Value
+//! texts are the records' own `Arc<str>`s, shared with the store, not
+//! copied.
 //!
 //! Indexes are maintained incrementally on join/update/replace/leave/
 //! evict under the same lock as the record map (one such pair per
@@ -38,8 +45,11 @@
 //! scan path without touching a single bucket.
 
 use legion_core::{AttrValue, AttributeDb, Loid};
+use std::borrow::Borrow;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// A total-order key over finite `f64`s.
 ///
@@ -75,6 +85,121 @@ impl Ord for NumKey {
     }
 }
 
+/// The members under one key. One member is stored inline; several
+/// keep a set, so churn on a widely shared key stays O(log n). The set
+/// is boxed so that a bucket is no wider than its member — a posting
+/// of `u32` value ids takes 16 bytes, not 32. Never empty.
+#[derive(Debug)]
+enum Bucket<T> {
+    One(T),
+    #[allow(clippy::box_collection)] // the width, explained above
+    Many(Box<BTreeSet<T>>),
+}
+
+impl<T: Ord + Copy> Bucket<T> {
+    fn len(&self) -> usize {
+        match self {
+            Bucket::One(_) => 1,
+            Bucket::Many(set) => set.len(),
+        }
+    }
+
+    fn contains(&self, m: &T) -> bool {
+        match self {
+            Bucket::One(x) => x == m,
+            Bucket::Many(set) => set.contains(m),
+        }
+    }
+
+    /// The members, sorted.
+    fn members(&self) -> impl Iterator<Item = T> + '_ {
+        let (one, many) = match self {
+            Bucket::One(m) => (Some(*m), None),
+            Bucket::Many(set) => (None, Some(&**set)),
+        };
+        one.into_iter().chain(many.into_iter().flatten().copied())
+    }
+
+    /// Adds `m`; whether it was new.
+    fn insert(&mut self, m: T) -> bool {
+        match self {
+            Bucket::One(x) if *x == m => false,
+            Bucket::One(x) => {
+                *self = Bucket::Many(Box::new(BTreeSet::from([*x, m])));
+                true
+            }
+            Bucket::Many(set) => set.insert(m),
+        }
+    }
+
+    /// Removes `m`. A bucket is never left empty: when `m` is its last
+    /// member it stays as it is and the caller drops it.
+    fn remove(&mut self, m: T) -> Removal {
+        match self {
+            Bucket::One(x) if *x == m => Removal::Last,
+            Bucket::One(_) => Removal::Absent,
+            Bucket::Many(set) => {
+                let removed = set.remove(&m);
+                if let (1, Some(&last)) = (set.len(), set.first()) {
+                    *self = Bucket::One(last);
+                }
+                if removed {
+                    Removal::Removed
+                } else {
+                    Removal::Absent
+                }
+            }
+        }
+    }
+}
+
+/// What [`Bucket::remove`] did.
+enum Removal {
+    Absent,
+    Removed,
+    /// The member was the bucket's last; drop the bucket.
+    Last,
+}
+
+/// Adds `member` under `key`. Returns whether it is new there, and
+/// whether the key is.
+fn add_member<K: Ord>(map: &mut BTreeMap<K, Bucket<Loid>>, key: K, member: Loid) -> (bool, bool) {
+    match map.entry(key) {
+        Entry::Vacant(slot) => {
+            slot.insert(Bucket::One(member));
+            (true, true)
+        }
+        Entry::Occupied(mut slot) => (slot.get_mut().insert(member), false),
+    }
+}
+
+/// Removes `member` from under `key`. Returns whether it was there, and
+/// whether the key went with it.
+fn remove_member<K, Q>(map: &mut BTreeMap<K, Bucket<Loid>>, key: &Q, member: Loid) -> (bool, bool)
+where
+    K: Ord + Borrow<Q>,
+    Q: Ord + ?Sized,
+{
+    let Some(bucket) = map.get_mut(key) else { return (false, false) };
+    match bucket.remove(member) {
+        Removal::Absent => (false, false),
+        Removal::Removed => (true, false),
+        Removal::Last => {
+            map.remove(key);
+            (true, true)
+        }
+    }
+}
+
+/// The value stored under `name`, created empty on first use; the name
+/// is copied only then.
+fn named<'a, V: Default>(map: &'a mut HashMap<String, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
+    }
+    map.get_mut(name).expect("present or inserted above")
+}
+
 /// Trigram postings over an attribute's distinct string values.
 ///
 /// Values are interned to dense ids when their first member appears and
@@ -83,11 +208,11 @@ impl Ord for NumKey {
 #[derive(Debug, Default)]
 struct TrigramIndex {
     /// Live value → interned id.
-    ids: HashMap<String, u32>,
+    ids: HashMap<Arc<str>, u32>,
     /// Interned id → value (candidate verification needs the text).
-    values: HashMap<u32, String>,
+    values: HashMap<u32, Arc<str>>,
     /// 3-byte window → ids of values containing it.
-    grams: HashMap<[u8; 3], BTreeSet<u32>>,
+    grams: HashMap<[u8; 3], Bucket<u32>>,
     next_id: u32,
 }
 
@@ -96,13 +221,18 @@ fn trigrams(value: &str) -> impl Iterator<Item = [u8; 3]> + '_ {
 }
 
 impl TrigramIndex {
-    fn add_value(&mut self, value: &str) {
+    fn add_value(&mut self, value: &Arc<str>) {
         let id = self.next_id;
         self.next_id += 1;
-        self.ids.insert(value.to_string(), id);
-        self.values.insert(id, value.to_string());
+        self.ids.insert(Arc::clone(value), id);
+        self.values.insert(id, Arc::clone(value));
         for g in trigrams(value) {
-            self.grams.entry(g).or_default().insert(id);
+            self.grams
+                .entry(g)
+                .and_modify(|postings| {
+                    postings.insert(id);
+                })
+                .or_insert(Bucket::One(id));
         }
     }
 
@@ -110,9 +240,8 @@ impl TrigramIndex {
         let Some(id) = self.ids.remove(value) else { return };
         self.values.remove(&id);
         for g in trigrams(value) {
-            if let Some(set) = self.grams.get_mut(&g) {
-                set.remove(&id);
-                if set.is_empty() {
+            if let Some(postings) = self.grams.get_mut(&g) {
+                if let Removal::Last = postings.remove(id) {
                     self.grams.remove(&g);
                 }
             }
@@ -123,7 +252,7 @@ impl TrigramIndex {
     /// verification against the actual value text (so the result is
     /// exact, not a superset). `needle` must be at least 3 bytes.
     fn candidate_values(&self, needle: &str) -> Vec<u32> {
-        let mut posting_sets: Vec<&BTreeSet<u32>> = Vec::new();
+        let mut posting_sets: Vec<&Bucket<u32>> = Vec::new();
         for g in trigrams(needle) {
             match self.grams.get(&g) {
                 Some(set) => posting_sets.push(set),
@@ -134,8 +263,7 @@ impl TrigramIndex {
             return Vec::new();
         };
         smallest
-            .iter()
-            .copied()
+            .members()
             .filter(|id| posting_sets.iter().all(|s| s.contains(id)))
             .filter(|id| self.values[id].contains(needle))
             .collect()
@@ -146,17 +274,38 @@ impl TrigramIndex {
 /// postings over the distinct values, plus the member total.
 #[derive(Debug, Default)]
 struct StringIndex {
-    by_val: BTreeMap<String, BTreeSet<Loid>>,
+    by_val: BTreeMap<Arc<str>, Bucket<Loid>>,
     trigrams: TrigramIndex,
     /// Members indexed under this attribute (sum of bucket sizes).
     total: usize,
+}
+
+impl StringIndex {
+    /// Buckets whose value starts with `prefix`, in value order.
+    fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a Bucket<Loid>> + 'a {
+        self.by_val
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(value, _)| value.starts_with(prefix))
+            .map(|(_, bucket)| bucket)
+    }
+
+    /// Buckets whose value's first character lies in `lo..=hi`, in
+    /// value order.
+    fn first_in(&self, lo: char, hi: char) -> impl Iterator<Item = &Bucket<Loid>> + '_ {
+        let mut buf = [0u8; 4];
+        let from: &str = lo.encode_utf8(&mut buf);
+        self.by_val
+            .range::<str, _>((Bound::Included(from), Bound::Unbounded))
+            .take_while(move |(value, _)| value.chars().next().is_some_and(|c| c <= hi))
+            .map(|(_, bucket)| bucket)
+    }
 }
 
 /// One attribute's numeric index: sorted value buckets plus the member
 /// total, so a full-covering range estimates in O(log n).
 #[derive(Debug, Default)]
 struct NumericIndex {
-    by_val: BTreeMap<NumKey, BTreeSet<Loid>>,
+    by_val: BTreeMap<NumKey, Bucket<Loid>>,
     total: usize,
 }
 
@@ -167,8 +316,9 @@ pub struct AttributeIndexes {
     strings: HashMap<String, StringIndex>,
     /// attr name → numeric index (values coerced to `f64`).
     numbers: HashMap<String, NumericIndex>,
-    /// attr name → members carrying the attribute (any type).
-    presence: HashMap<String, BTreeSet<Loid>>,
+    /// attr name → members whose value neither index above holds, so
+    /// that presence is the union of the three.
+    unindexed: HashMap<String, BTreeSet<Loid>>,
 }
 
 /// Sorts a merged candidate list and drops duplicates (buckets of one
@@ -205,6 +355,18 @@ pub fn union_sorted(parts: Vec<Vec<Loid>>) -> Vec<Loid> {
     all
 }
 
+/// Sums bucket sizes, stopping at `cap`.
+fn capped_sum<'a>(buckets: impl Iterator<Item = &'a Bucket<Loid>>, cap: usize) -> usize {
+    let mut sum = 0usize;
+    for bucket in buckets {
+        sum += bucket.len();
+        if sum >= cap {
+            return cap;
+        }
+    }
+    sum
+}
+
 impl AttributeIndexes {
     /// An empty index set.
     pub fn new() -> Self {
@@ -214,29 +376,24 @@ impl AttributeIndexes {
     /// Indexes every attribute of `member`'s record.
     pub fn insert(&mut self, member: Loid, attrs: &AttributeDb) {
         for (name, value) in attrs.iter() {
-            self.presence.entry(name.to_string()).or_default().insert(member);
-            match value {
-                AttrValue::Str(s) => {
-                    let si = self.strings.entry(name.to_string()).or_default();
-                    let bucket = si.by_val.entry(s.clone()).or_default();
-                    if bucket.is_empty() {
-                        si.trigrams.add_value(s);
-                    }
-                    if bucket.insert(member) {
-                        si.total += 1;
-                    }
+            if let AttrValue::Str(s) = value {
+                let si = named(&mut self.strings, name);
+                let (added, new_value) = add_member(&mut si.by_val, Arc::clone(s), member);
+                if new_value {
+                    si.trigrams.add_value(s);
                 }
-                AttrValue::Int(_) | AttrValue::Float(_) => {
-                    if let Some(key) = value.as_f64().and_then(NumKey::new) {
-                        let ni = self.numbers.entry(name.to_string()).or_default();
-                        if ni.by_val.entry(key).or_default().insert(member) {
-                            ni.total += 1;
-                        }
-                    }
+                if added {
+                    si.total += 1;
                 }
-                // Bools and lists are only findable via `exists()`;
+            } else if let Some(key) = value.as_f64().and_then(NumKey::new) {
+                let ni = named(&mut self.numbers, name);
+                if add_member(&mut ni.by_val, key, member).0 {
+                    ni.total += 1;
+                }
+            } else {
+                // Bools, lists and NaN are only findable via `exists()`;
                 // comparisons on them fall back to the scan path.
-                AttrValue::Bool(_) | AttrValue::List(_) => {}
+                named(&mut self.unindexed, name).insert(member);
             }
         }
     }
@@ -245,47 +402,31 @@ impl AttributeIndexes {
     /// `attrs` previously passed to [`Self::insert`]).
     pub fn remove(&mut self, member: Loid, attrs: &AttributeDb) {
         for (name, value) in attrs.iter() {
-            if let Some(set) = self.presence.get_mut(name) {
+            if let AttrValue::Str(s) = value {
+                let Some(si) = self.strings.get_mut(name) else { continue };
+                let (removed, value_gone) = remove_member(&mut si.by_val, &**s, member);
+                if value_gone {
+                    si.trigrams.remove_value(s);
+                }
+                if removed {
+                    si.total -= 1;
+                }
+                if si.by_val.is_empty() {
+                    self.strings.remove(name);
+                }
+            } else if let Some(key) = value.as_f64().and_then(NumKey::new) {
+                let Some(ni) = self.numbers.get_mut(name) else { continue };
+                if remove_member(&mut ni.by_val, &key, member).0 {
+                    ni.total -= 1;
+                }
+                if ni.by_val.is_empty() {
+                    self.numbers.remove(name);
+                }
+            } else if let Some(set) = self.unindexed.get_mut(name) {
                 set.remove(&member);
                 if set.is_empty() {
-                    self.presence.remove(name);
+                    self.unindexed.remove(name);
                 }
-            }
-            match value {
-                AttrValue::Str(s) => {
-                    if let Some(si) = self.strings.get_mut(name) {
-                        if let Some(bucket) = si.by_val.get_mut(s) {
-                            if bucket.remove(&member) {
-                                si.total -= 1;
-                            }
-                            if bucket.is_empty() {
-                                si.by_val.remove(s);
-                                si.trigrams.remove_value(s);
-                            }
-                        }
-                        if si.by_val.is_empty() {
-                            self.strings.remove(name);
-                        }
-                    }
-                }
-                AttrValue::Int(_) | AttrValue::Float(_) => {
-                    if let Some(key) = value.as_f64().and_then(NumKey::new) {
-                        if let Some(ni) = self.numbers.get_mut(name) {
-                            if let Some(bucket) = ni.by_val.get_mut(&key) {
-                                if bucket.remove(&member) {
-                                    ni.total -= 1;
-                                }
-                                if bucket.is_empty() {
-                                    ni.by_val.remove(&key);
-                                }
-                            }
-                            if ni.by_val.is_empty() {
-                                self.numbers.remove(name);
-                            }
-                        }
-                    }
-                }
-                AttrValue::Bool(_) | AttrValue::List(_) => {}
             }
         }
     }
@@ -295,7 +436,7 @@ impl AttributeIndexes {
         self.strings
             .get(attr)
             .and_then(|si| si.by_val.get(value))
-            .map(|b| b.iter().copied().collect())
+            .map(|b| b.members().collect())
             .unwrap_or_default()
     }
 
@@ -303,12 +444,8 @@ impl AttributeIndexes {
     pub fn lookup_str_prefix(&self, attr: &str, prefix: &str) -> Vec<Loid> {
         let mut out = Vec::new();
         if let Some(si) = self.strings.get(attr) {
-            for (_, members) in si
-                .by_val
-                .range::<String, _>((Bound::Included(prefix.to_string()), Bound::Unbounded))
-                .take_while(|(value, _)| value.starts_with(prefix))
-            {
-                out.extend(members.iter().copied());
+            for bucket in si.with_prefix(prefix) {
+                out.extend(bucket.members());
             }
         }
         sorted_dedup(out)
@@ -325,14 +462,14 @@ impl AttributeIndexes {
         let mut out = Vec::new();
         if needle.len() >= 3 {
             for id in si.trigrams.candidate_values(needle) {
-                if let Some(members) = si.by_val.get(&si.trigrams.values[&id]) {
-                    out.extend(members.iter().copied());
+                if let Some(bucket) = si.by_val.get(&*si.trigrams.values[&id]) {
+                    out.extend(bucket.members());
                 }
             }
         } else {
-            for (value, members) in si.by_val.iter() {
+            for (value, bucket) in si.by_val.iter() {
                 if value.contains(needle) {
-                    out.extend(members.iter().copied());
+                    out.extend(bucket.members());
                 }
             }
         }
@@ -345,17 +482,8 @@ impl AttributeIndexes {
         let Some(si) = self.strings.get(attr) else { return Vec::new() };
         let mut out = Vec::new();
         for &(lo, hi) in ranges {
-            if lo > hi {
-                continue;
-            }
-            for (value, members) in si
-                .by_val
-                .range::<String, _>((Bound::Included(lo.to_string()), Bound::Unbounded))
-            {
-                match value.chars().next() {
-                    Some(c) if c <= hi => out.extend(members.iter().copied()),
-                    _ => break,
-                }
+            for bucket in si.first_in(lo, hi) {
+                out.extend(bucket.members());
             }
         }
         sorted_dedup(out)
@@ -369,8 +497,8 @@ impl AttributeIndexes {
         };
         let mut out = Vec::new();
         if let Some(ni) = self.numbers.get(attr) {
-            for (_, members) in ni.by_val.range((lo, hi)) {
-                out.extend(members.iter().copied());
+            for (_, bucket) in ni.by_val.range((lo, hi)) {
+                out.extend(bucket.members());
             }
         }
         sorted_dedup(out)
@@ -378,12 +506,22 @@ impl AttributeIndexes {
 
     /// Members carrying `attr` at all, sorted.
     pub fn lookup_exists(&self, attr: &str) -> Vec<Loid> {
-        self.presence.get(attr).map(|s| s.iter().copied().collect()).unwrap_or_default()
+        let mut out = Vec::new();
+        if let Some(si) = self.strings.get(attr) {
+            out.extend(si.by_val.values().flat_map(Bucket::members));
+        }
+        if let Some(ni) = self.numbers.get(attr) {
+            out.extend(ni.by_val.values().flat_map(Bucket::members));
+        }
+        if let Some(set) = self.unindexed.get(attr) {
+            out.extend(set.iter().copied());
+        }
+        sorted_dedup(out)
     }
 
     /// Hit count of [`Self::lookup_str_eq`] without materializing it.
     pub fn count_str_eq(&self, attr: &str, value: &str) -> usize {
-        self.strings.get(attr).and_then(|si| si.by_val.get(value)).map_or(0, BTreeSet::len)
+        self.strings.get(attr).and_then(|si| si.by_val.get(value)).map_or(0, Bucket::len)
     }
 
     /// Hit count of [`Self::lookup_str_prefix`], saturating at `cap`.
@@ -393,20 +531,10 @@ impl AttributeIndexes {
     pub fn count_str_prefix(&self, attr: &str, prefix: &str, cap: usize) -> usize {
         self.strings.get(attr).map_or(0, |si| {
             if prefix.is_empty() {
-                return si.total.min(cap);
+                si.total.min(cap)
+            } else {
+                capped_sum(si.with_prefix(prefix), cap)
             }
-            let mut sum = 0usize;
-            for (_, members) in si
-                .by_val
-                .range::<String, _>((Bound::Included(prefix.to_string()), Bound::Unbounded))
-                .take_while(|(value, _)| value.starts_with(prefix))
-            {
-                sum += members.len();
-                if sum >= cap {
-                    return cap;
-                }
-            }
-            sum
         })
     }
 
@@ -421,41 +549,15 @@ impl AttributeIndexes {
         if needle.len() < 3 {
             return si.total.min(cap);
         }
-        let mut sum = 0usize;
-        for id in si.trigrams.candidate_values(needle) {
-            sum += si.by_val.get(&si.trigrams.values[&id]).map_or(0, BTreeSet::len);
-            if sum >= cap {
-                return cap;
-            }
-        }
-        sum
+        let ids = si.trigrams.candidate_values(needle);
+        capped_sum(ids.iter().filter_map(|id| si.by_val.get(&*si.trigrams.values[id])), cap)
     }
 
     /// Hit count of [`Self::lookup_str_first_ranges`], saturating at
     /// `cap`.
     pub fn count_str_first_ranges(&self, attr: &str, ranges: &[(char, char)], cap: usize) -> usize {
         let Some(si) = self.strings.get(attr) else { return 0 };
-        let mut sum = 0usize;
-        for &(lo, hi) in ranges {
-            if lo > hi {
-                continue;
-            }
-            for (value, members) in si
-                .by_val
-                .range::<String, _>((Bound::Included(lo.to_string()), Bound::Unbounded))
-            {
-                match value.chars().next() {
-                    Some(c) if c <= hi => {
-                        sum += members.len();
-                        if sum >= cap {
-                            return cap;
-                        }
-                    }
-                    _ => break,
-                }
-            }
-        }
-        sum
+        capped_sum(ranges.iter().flat_map(|&(lo, hi)| si.first_in(lo, hi)), cap)
     }
 
     /// Hit count of [`Self::lookup_num_range`], saturating at `cap`.
@@ -486,19 +588,14 @@ impl AttributeIndexes {
                 return ni.total.min(cap);
             }
         }
-        let mut sum = 0usize;
-        for (_, members) in ni.by_val.range((lo, hi)) {
-            sum += members.len();
-            if sum >= cap {
-                return cap;
-            }
-        }
-        sum
+        capped_sum(ni.by_val.range((lo, hi)).map(|(_, bucket)| bucket), cap)
     }
 
     /// Hit count of [`Self::lookup_exists`] without materializing it.
     pub fn count_exists(&self, attr: &str) -> usize {
-        self.presence.get(attr).map_or(0, BTreeSet::len)
+        self.strings.get(attr).map_or(0, |si| si.total)
+            + self.numbers.get(attr).map_or(0, |ni| ni.total)
+            + self.unindexed.get(attr).map_or(0, BTreeSet::len)
     }
 }
 

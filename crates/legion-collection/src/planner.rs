@@ -265,7 +265,7 @@ fn plan_cmp(
         // literal (the evaluator's semantic_cmp refuses cross-type
         // string comparisons), and the index holds every Str value.
         (CmpOp::Eq, AttrValue::Str(s)) => Some(Plan::lookup(
-            IndexPredicate::StrEq { attr: attr.clone(), value: s.clone() },
+            IndexPredicate::StrEq { attr: attr.clone(), value: s.to_string() },
             true,
         )),
         (_, AttrValue::Int(_) | AttrValue::Float(_)) => {

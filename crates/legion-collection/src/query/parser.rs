@@ -141,7 +141,7 @@ impl<'a> Parser<'a> {
     fn operand(&mut self) -> Result<Operand, String> {
         match self.bump() {
             Some(Token::Attr(name)) => Ok(Operand::Attr(name.clone())),
-            Some(Token::Str(s)) => Ok(Operand::Lit(AttrValue::Str(s.clone()))),
+            Some(Token::Str(s)) => Ok(Operand::Lit(AttrValue::from(s.as_str()))),
             Some(Token::Int(i)) => Ok(Operand::Lit(AttrValue::Int(*i))),
             Some(Token::Float(f)) => Ok(Operand::Lit(AttrValue::Float(*f))),
             Some(Token::True) => Ok(Operand::Lit(AttrValue::Bool(true))),

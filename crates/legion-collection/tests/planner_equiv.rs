@@ -43,9 +43,9 @@ fn arb_value() -> impl Strategy<Value = AttrValue> {
     prop_oneof![
         (-4i64..4).prop_map(AttrValue::Int),
         (-2.0f64..2.0).prop_map(AttrValue::Float),
-        arb_str().prop_map(AttrValue::Str),
+        arb_str().prop_map(AttrValue::from),
         any::<bool>().prop_map(AttrValue::Bool),
-        proptest::collection::vec("[xy]".prop_map(AttrValue::Str), 0..3)
+        proptest::collection::vec("[xy]".prop_map(AttrValue::from), 0..3)
             .prop_map(AttrValue::List),
     ]
 }

@@ -14,7 +14,7 @@ fn arb_db() -> impl Strategy<Value = AttributeDb> {
             prop_oneof![
                 (-100i64..100).prop_map(AttrValue::Int),
                 (-10.0f64..10.0).prop_map(AttrValue::Float),
-                "[xy]{0,3}".prop_map(AttrValue::Str),
+                "[xy]{0,3}".prop_map(AttrValue::from),
                 any::<bool>().prop_map(AttrValue::Bool),
             ],
         ),

@@ -9,10 +9,18 @@
 //! per CPU cycle, refused domains, time-of-day willingness...). The
 //! Collection stores one [`AttributeDb`] per resource record and the
 //! query language evaluates against it.
+//!
+//! A host's record is copied often — into the host's own cache, into
+//! every Collection it reports to, into delta logs and query views — so
+//! the layout keeps a copy cheap: one name-sorted vector, well-known
+//! names as a one-byte index into a static table, other names and all
+//! string values behind an `Arc<str>` that a copy shares.
 
+use crate::host::well_known;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single attribute value.
 ///
@@ -25,8 +33,8 @@ pub enum AttrValue {
     Int(i64),
     /// Double-precision float.
     Float(f64),
-    /// UTF-8 string.
-    Str(String),
+    /// UTF-8 string, shared by every copy of the value.
+    Str(Arc<str>),
     /// Boolean.
     Bool(bool),
     /// Ordered list of values (e.g. compatible vault LOIDs).
@@ -54,7 +62,7 @@ impl AttrValue {
     /// String view.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            AttrValue::Str(s) => Some(s),
+            AttrValue::Str(s) => Some(s.as_ref()),
             _ => None,
         }
     }
@@ -136,12 +144,12 @@ impl From<f64> for AttrValue {
 }
 impl From<&str> for AttrValue {
     fn from(v: &str) -> Self {
-        AttrValue::Str(v.to_string())
+        AttrValue::Str(v.into())
     }
 }
 impl From<String> for AttrValue {
     fn from(v: String) -> Self {
-        AttrValue::Str(v)
+        AttrValue::Str(v.into())
     }
 }
 impl From<bool> for AttrValue {
@@ -155,13 +163,66 @@ impl<T: Into<AttrValue>> From<Vec<T>> for AttrValue {
     }
 }
 
+/// The names stored as a one-byte index instead of an allocation: the
+/// host attributes every record carries.
+const KNOWN_NAMES: [&str; 18] = [
+    well_known::OS_NAME,
+    well_known::OS_VERSION,
+    well_known::ARCH,
+    well_known::LOAD,
+    well_known::NCPUS,
+    well_known::MEMORY_MB,
+    well_known::FREE_MEMORY_MB,
+    well_known::DOMAIN,
+    well_known::PRICE_PER_CPU_SEC,
+    well_known::REFUSED_DOMAINS,
+    well_known::WILLINGNESS,
+    well_known::FLAVOR,
+    well_known::QUEUE_SYSTEM,
+    well_known::RUNNING_OBJECTS,
+    well_known::COMPATIBLE_VAULTS,
+    well_known::HOST_NAME,
+    well_known::DRAINING,
+    well_known::HOST_LOID,
+];
+
+/// An attribute name. Every string has exactly one representation — a
+/// well-known name is always `Known` — so derived equality is string
+/// equality.
+#[derive(Clone, PartialEq)]
+enum Name {
+    /// Index into [`KNOWN_NAMES`].
+    Known(u8),
+    /// Any other name, shared by every copy of the database.
+    Other(Arc<str>),
+}
+
+impl Name {
+    fn new(name: &str) -> Name {
+        match KNOWN_NAMES.iter().position(|&k| k == name) {
+            Some(i) => Name::Known(i as u8),
+            None => Name::Other(name.into()),
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        match self {
+            Name::Known(i) => KNOWN_NAMES[*i as usize],
+            Name::Other(s) => s,
+        }
+    }
+}
+
 /// An ordered attribute database: name → value.
 ///
-/// Backed by a `BTreeMap` so iteration order (and therefore Collection
-/// record serialization and experiment output) is deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Entries live in one vector sorted by name, so iteration order (and
+/// therefore Collection record serialization and experiment output) is
+/// deterministic, a lookup is a binary search, and a copy is one
+/// allocation: names and string values are shared, not duplicated.
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AttributeDb {
-    entries: BTreeMap<String, AttrValue>,
+    /// Sorted by name; names are unique.
+    entries: Vec<(Name, AttrValue)>,
 }
 
 impl AttributeDb {
@@ -170,30 +231,43 @@ impl AttributeDb {
         Self::default()
     }
 
+    /// Position of `name`, or where it would be inserted.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(n, _)| n.as_str().cmp(name))
+    }
+
     /// Sets an attribute, returning the previous value if any.
-    pub fn set(&mut self, name: impl Into<String>, value: impl Into<AttrValue>) -> Option<AttrValue> {
-        self.entries.insert(name.into(), value.into())
+    pub fn set(&mut self, name: impl AsRef<str>, value: impl Into<AttrValue>) -> Option<AttrValue> {
+        let name = name.as_ref();
+        let value = value.into();
+        match self.find(name) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Err(i) => {
+                self.entries.insert(i, (Name::new(name), value));
+                None
+            }
+        }
     }
 
     /// Builder-style set.
-    pub fn with(mut self, name: impl Into<String>, value: impl Into<AttrValue>) -> Self {
+    pub fn with(mut self, name: impl AsRef<str>, value: impl Into<AttrValue>) -> Self {
         self.set(name, value);
         self
     }
 
     /// Looks up an attribute.
     pub fn get(&self, name: &str) -> Option<&AttrValue> {
-        self.entries.get(name)
+        self.find(name).ok().map(|i| &self.entries[i].1)
     }
 
     /// Removes an attribute.
     pub fn remove(&mut self, name: &str) -> Option<AttrValue> {
-        self.entries.remove(name)
+        self.find(name).ok().map(|i| self.entries.remove(i).1)
     }
 
     /// Whether the attribute exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
+        self.find(name).is_ok()
     }
 
     /// Number of attributes.
@@ -214,8 +288,11 @@ impl AttributeDb {
     /// Overwrites entries from `other` into `self` (push-model update:
     /// "UpdateCollectionEntry" merges fresh host state over the record).
     pub fn merge_from(&mut self, other: &AttributeDb) {
-        for (k, v) in other.iter() {
-            self.entries.insert(k.to_string(), v.clone());
+        for (name, value) in &other.entries {
+            match self.find(name.as_str()) {
+                Ok(i) => self.entries[i].1 = value.clone(),
+                Err(i) => self.entries.insert(i, (name.clone(), value.clone())),
+            }
         }
     }
 
@@ -240,9 +317,22 @@ impl AttributeDb {
     }
 }
 
+/// Prints as the name-ordered map it is.
+impl fmt::Debug for AttributeDb {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let entries: BTreeMap<&str, &AttrValue> = self.iter().collect();
+        f.debug_struct("AttributeDb").field("entries", &entries).finish()
+    }
+}
+
+/// Later pairs overwrite earlier ones with the same name.
 impl FromIterator<(String, AttrValue)> for AttributeDb {
     fn from_iter<T: IntoIterator<Item = (String, AttrValue)>>(iter: T) -> Self {
-        AttributeDb { entries: iter.into_iter().collect() }
+        let mut db = AttributeDb::new();
+        for (name, value) in iter {
+            db.set(name, value);
+        }
+        db
     }
 }
 

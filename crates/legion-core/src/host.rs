@@ -66,6 +66,12 @@ pub mod well_known {
     pub const RUNNING_OBJECTS: &str = "host_running_objects";
     /// Compatible vault LOIDs (list of strings).
     pub const COMPATIBLE_VAULTS: &str = "host_compatible_vaults";
+    /// Host name.
+    pub const HOST_NAME: &str = "host_name";
+    /// Whether the host is draining for an administrative shutdown.
+    pub const DRAINING: &str = "host_draining";
+    /// The host's own LOID, as text.
+    pub const HOST_LOID: &str = "host_loid";
 }
 
 /// Status returned by `check_reservation()`.

@@ -297,10 +297,7 @@ impl Span {
 
     /// String attribute convenience.
     pub fn attr_str(&self, key: &str) -> Option<&str> {
-        match self.attr(key) {
-            Some(AttrValue::Str(s)) => Some(s.as_str()),
-            _ => None,
-        }
+        self.attr(key).and_then(AttrValue::as_str)
     }
 }
 

@@ -26,7 +26,7 @@ fn arb_scalar() -> impl Strategy<Value = AttrValue> {
     prop_oneof![
         any::<i64>().prop_map(AttrValue::Int),
         (-1e12f64..1e12).prop_map(AttrValue::Float),
-        "[a-zA-Z0-9_.]{0,12}".prop_map(AttrValue::Str),
+        "[a-zA-Z0-9_.]{0,12}".prop_map(AttrValue::from),
         any::<bool>().prop_map(AttrValue::Bool),
     ]
 }

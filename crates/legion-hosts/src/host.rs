@@ -14,7 +14,7 @@
 //! systems" (§3.1).
 
 use crate::load::BackgroundLoad;
-use crate::policy::{AcceptAll, LocalPolicy};
+use crate::policy::LocalPolicy;
 use crate::restable::{ReservationTable, TableCapacity};
 use legion_core::host::well_known;
 use legion_core::{
@@ -111,6 +111,66 @@ struct RunningObject {
     token_serial: u64,
 }
 
+/// The objects running on a host, sorted by LOID. An idle host's table
+/// holds no allocation: the removal that empties it frees it.
+#[derive(Default)]
+struct ObjectTable(Vec<(Loid, RunningObject)>);
+
+impl ObjectTable {
+    fn find(&self, object: Loid) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&object, |(loid, _)| *loid)
+    }
+
+    fn get(&self, object: Loid) -> Option<&RunningObject> {
+        self.find(object).ok().map(|i| &self.0[i].1)
+    }
+
+    /// Starts tracking `object`, replacing any entry it already had.
+    fn insert(&mut self, object: Loid, running: RunningObject) {
+        match self.find(object) {
+            Ok(i) => self.0[i].1 = running,
+            Err(i) => self.0.insert(i, (object, running)),
+        }
+    }
+
+    fn remove(&mut self, object: Loid) -> Option<RunningObject> {
+        let i = self.find(object).ok()?;
+        let (_, removed) = self.0.remove(i);
+        if self.0.is_empty() {
+            self.clear();
+        }
+        Some(removed)
+    }
+
+    fn clear(&mut self) {
+        self.0 = Vec::new();
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn loids(&self) -> impl Iterator<Item = Loid> + '_ {
+        self.0.iter().map(|(loid, _)| *loid)
+    }
+
+    fn values(&self) -> impl Iterator<Item = &RunningObject> {
+        self.0.iter().map(|(_, running)| running)
+    }
+}
+
+/// What a host publishes: its attribute database, and the vault scan
+/// its compatible-vault list was built from, so that an unchanged scan
+/// leaves the list — and every copy sharing its strings — as it is.
+struct Published {
+    attrs: AttributeDb,
+    vaults: Vec<Loid>,
+}
+
 struct TriggerEntry {
     trigger: Trigger,
     last_fired: Option<SimTime>,
@@ -120,16 +180,15 @@ struct TriggerEntry {
 pub struct StandardHost {
     loid: Loid,
     config: HostConfig,
-    flavor: &'static str,
     table: Mutex<ReservationTable>,
-    running: RwLock<BTreeMap<Loid, RunningObject>>,
+    running: RwLock<ObjectTable>,
     policies: RwLock<Vec<Arc<dyn LocalPolicy>>>,
     triggers: RwLock<BTreeMap<u64, TriggerEntry>>,
     next_trigger: AtomicU64,
     outcalls: RwLock<Vec<Arc<dyn Outcall>>>,
     vaults: Arc<dyn VaultDirectory>,
     load: Mutex<BackgroundLoad>,
-    attrs_cache: RwLock<AttributeDb>,
+    published: RwLock<Published>,
     metrics: RwLock<Option<Arc<MetricsLedger>>>,
     tracer: RwLock<Option<Arc<TraceSink>>>,
     draining: std::sync::atomic::AtomicBool,
@@ -156,18 +215,34 @@ impl StandardHost {
         let capacity =
             TableCapacity { cpu_centis: config.ncpus * 100, memory_mb: config.memory_mb };
         let secret = legion_core::hash::mix64(seed ^ loid.digest());
+        // The values that never change are built once; every copy of
+        // the database — the Collection's record included — shares
+        // their strings. `refresh_attrs` fills in the rest.
+        let attrs = AttributeDb::new()
+            .with(well_known::HOST_NAME, config.name.as_str())
+            .with(well_known::DOMAIN, config.domain.as_str())
+            .with(well_known::ARCH, config.arch.as_str())
+            .with(well_known::OS_NAME, config.os_name.as_str())
+            .with(well_known::OS_VERSION, config.os_version.as_str())
+            .with(well_known::NCPUS, config.ncpus as i64)
+            .with(well_known::MEMORY_MB, config.memory_mb as i64)
+            .with(well_known::PRICE_PER_CPU_SEC, config.price_per_cpu_sec as i64)
+            .with(well_known::WILLINGNESS, config.willingness)
+            .with(well_known::FLAVOR, "unix")
+            .with(well_known::HOST_LOID, loid.to_string())
+            .with(well_known::COMPATIBLE_VAULTS, AttrValue::List(Vec::new()));
         let host = StandardHost {
             loid,
-            flavor: "unix",
             table: Mutex::new(ReservationTable::new(loid, secret, capacity)),
-            running: RwLock::new(BTreeMap::new()),
-            policies: RwLock::new(vec![Arc::new(AcceptAll)]),
+            running: RwLock::new(ObjectTable::default()),
+            // No policy accepts everything; an empty chain allocates nothing.
+            policies: RwLock::new(Vec::new()),
             triggers: RwLock::new(BTreeMap::new()),
             next_trigger: AtomicU64::new(1),
             outcalls: RwLock::new(Vec::new()),
             vaults,
             load: Mutex::new(BackgroundLoad::steady(0.0)),
-            attrs_cache: RwLock::new(AttributeDb::new()),
+            published: RwLock::new(Published { attrs, vaults: Vec::new() }),
             metrics: RwLock::new(None),
             tracer: RwLock::new(None),
             draining: std::sync::atomic::AtomicBool::new(false),
@@ -259,52 +334,38 @@ impl StandardHost {
         (cpu, mem)
     }
 
-    /// Recomputes the attribute cache; returns the fresh snapshot.
-    fn refresh_attrs(&self, now: SimTime) -> AttributeDb {
+    /// Re-fills the load-dependent attributes in place.
+    fn refresh_attrs(&self, now: SimTime) {
         let bg = self.load.lock().current(now);
         let (cpu, mem) = self.legion_demand();
         let load = bg + cpu as f64 / 100.0;
         let free_mem = self.config.memory_mb.saturating_sub(mem);
         let running_count = self.running.read().len() as i64;
-        let vault_list: Vec<AttrValue> = self
-            .compatible_vault_scan()
-            .into_iter()
-            .map(|l| AttrValue::Str(l.to_string()))
-            .collect();
-        let attrs = AttributeDb::new()
-            .with("host_name", self.config.name.as_str())
-            .with(well_known::DOMAIN, self.config.domain.as_str())
-            .with(well_known::ARCH, self.config.arch.as_str())
-            .with(well_known::OS_NAME, self.config.os_name.as_str())
-            .with(well_known::OS_VERSION, self.config.os_version.as_str())
-            .with(well_known::NCPUS, self.config.ncpus as i64)
-            .with(well_known::MEMORY_MB, self.config.memory_mb as i64)
-            .with(well_known::FREE_MEMORY_MB, free_mem as i64)
-            .with(well_known::LOAD, load)
-            .with(well_known::PRICE_PER_CPU_SEC, self.config.price_per_cpu_sec as i64)
-            .with(well_known::WILLINGNESS, self.config.willingness)
-            .with(well_known::FLAVOR, self.flavor)
-            .with("host_draining", self.is_draining())
-            .with(well_known::RUNNING_OBJECTS, running_count)
-            .with(well_known::COMPATIBLE_VAULTS, AttrValue::List(vault_list))
-            .with("host_loid", self.loid.to_string());
-        *self.attrs_cache.write() = attrs.clone();
-        attrs
+        let vaults = self.compatible_vault_scan();
+        let mut published = self.published.write();
+        let attrs = &mut published.attrs;
+        attrs.set(well_known::FREE_MEMORY_MB, free_mem as i64);
+        attrs.set(well_known::LOAD, load);
+        attrs.set(well_known::DRAINING, self.is_draining());
+        attrs.set(well_known::RUNNING_OBJECTS, running_count);
+        if published.vaults != vaults {
+            let list = vaults.iter().map(|l| AttrValue::from(l.to_string())).collect();
+            published.attrs.set(well_known::COMPATIBLE_VAULTS, AttrValue::List(list));
+            published.vaults = vaults;
+        }
     }
 
-    /// Scans the vault directory for compatible vaults (uses config-level
-    /// facts only, so it is safe during attribute refresh).
+    /// Scans the vault directory for compatible vaults. Vaults judge by
+    /// the host's domain and architecture, which never change.
     fn compatible_vault_scan(&self) -> Vec<Loid> {
-        let probe = AttributeDb::new()
-            .with(well_known::DOMAIN, self.config.domain.as_str())
-            .with(well_known::ARCH, self.config.arch.as_str());
+        let published = self.published.read();
         self.vaults
             .vault_loids()
             .into_iter()
             .filter(|&v| {
                 self.vaults
                     .lookup_vault(v)
-                    .is_some_and(|vault| vault.compatible_with_host(&probe))
+                    .is_some_and(|vault| vault.compatible_with_host(&published.attrs))
             })
             .collect()
     }
@@ -338,7 +399,7 @@ impl HostObject for StandardHost {
             .vaults
             .lookup_vault(req.vault)
             .ok_or(LegionError::VaultUnreachable { host: self.loid, vault: req.vault })?;
-        let attrs = self.attrs_cache.read().clone();
+        let attrs = self.published.read().attrs.clone();
         if !vault.compatible_with_host(&attrs) {
             self.bump(|m| MetricsLedger::bump(&m.reservations_denied));
             return Err(LegionError::VaultIncompatible { host: self.loid, vault: req.vault });
@@ -474,7 +535,7 @@ impl HostObject for StandardHost {
         self.ensure_up()?;
         let removed = {
             let mut running = self.running.write();
-            running.remove(&object).ok_or(LegionError::NoSuchObject(object))?
+            running.remove(object).ok_or(LegionError::NoSuchObject(object))?
         };
         // Free the reservation early if nothing else runs under it.
         let serial_in_use = self
@@ -498,7 +559,7 @@ impl HostObject for StandardHost {
         self.ensure_up()?;
         let obj = {
             let running = self.running.read();
-            running.get(&object).cloned().ok_or(LegionError::NoSuchObject(object))?
+            running.get(object).cloned().ok_or(LegionError::NoSuchObject(object))?
         };
         let vault = self
             .vaults
@@ -511,7 +572,7 @@ impl HostObject for StandardHost {
         vault.store_opr(opr.clone())?;
 
         // Only remove the object once its state is safely in the vault.
-        self.running.write().remove(&object);
+        self.running.write().remove(object);
         let serial_in_use =
             self.running.read().values().any(|r| r.token_serial == obj.token_serial);
         if !serial_in_use {
@@ -559,7 +620,7 @@ impl HostObject for StandardHost {
     }
 
     fn running_objects(&self) -> Vec<Loid> {
-        self.running.read().keys().copied().collect()
+        self.running.read().loids().collect()
     }
 
     fn get_compatible_vaults(&self) -> Vec<Loid> {
@@ -572,11 +633,11 @@ impl HostObject for StandardHost {
         }
         self.vaults
             .lookup_vault(vault)
-            .is_some_and(|v| v.compatible_with_host(&self.attrs_cache.read()))
+            .is_some_and(|v| v.compatible_with_host(&self.published.read().attrs))
     }
 
     fn attributes(&self) -> AttributeDb {
-        self.attrs_cache.read().clone()
+        self.published.read().attrs.clone()
     }
 
     fn register_trigger(&self, trigger: Trigger) -> TriggerId {
@@ -634,7 +695,8 @@ impl HostObject for StandardHost {
         // Advance the background load and expire lapsed reservations.
         self.load.lock().sample(now);
         let expired = self.table.lock().sweep(now);
-        let attrs = self.refresh_attrs(now);
+        self.refresh_attrs(now);
+        let attrs = self.attributes();
 
         let mut events = Vec::new();
         if self.is_draining() && !self.running.read().is_empty() {

@@ -278,7 +278,7 @@ impl Rebalancer {
                 continue;
             }
             let Some(load) = rec.attrs.get_f64(well_known::LOAD) else { continue };
-            if rec.attrs.get_bool("host_draining").unwrap_or(false) {
+            if rec.attrs.get_bool(well_known::DRAINING).unwrap_or(false) {
                 draining.insert(rec.member);
             }
             loads.insert(rec.member, load);
@@ -517,7 +517,7 @@ impl Rebalancer {
             }
             let attrs = h.attributes();
             // Never migrate onto a host that is itself draining.
-            if attrs.get_bool("host_draining").unwrap_or(false) {
+            if attrs.get_bool(well_known::DRAINING).unwrap_or(false) {
                 continue;
             }
             let load = attrs.get_f64(well_known::LOAD).unwrap_or(f64::MAX);

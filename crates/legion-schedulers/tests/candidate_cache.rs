@@ -30,7 +30,7 @@ fn member_loid(i: usize) -> Loid {
 fn host_attrs(memory_mb: i64) -> AttributeDb {
     vaultless_attrs(memory_mb).with(
         well_known::COMPATIBLE_VAULTS,
-        AttrValue::List(vec![AttrValue::Str(vault_loid().to_string())]),
+        AttrValue::List(vec![AttrValue::Str(vault_loid().to_string().into())]),
     )
 }
 

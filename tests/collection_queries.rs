@@ -3,6 +3,7 @@
 
 use legion::prelude::*;
 use legion::collection::LoadForecaster;
+use legion::core::host::well_known;
 
 #[test]
 fn paper_example_query_against_live_hosts() {
@@ -37,7 +38,7 @@ fn rich_attributes_are_queryable() {
     let tb = Testbed::build(TestbedConfig::wide(2, 2, 31));
     let rec = &tb.collection.dump()[0];
     for attr in [
-        "host_name",
+        well_known::HOST_NAME,
         "host_domain",
         "host_arch",
         "host_os_name",

@@ -168,7 +168,7 @@ fn concurrent_collection_updates_and_queries() {
                     let rs = tb.collection.query_parsed(&q);
                     // Every record the query returns is complete.
                     for r in &rs {
-                        assert!(r.attrs.contains("host_name"));
+                        assert!(r.attrs.contains(legion::core::host::well_known::HOST_NAME));
                         assert!(r.attrs.contains("host_compatible_vaults"));
                     }
                     hits += rs.len() as u64;

@@ -1,0 +1,182 @@
+//! Bytes and allocations per host, counted exactly.
+//!
+//! A counting global allocator measures the live heap before and after
+//! each phase of a bed's life on 2,000 Unix hosts: building the bed
+//! (hosts plus the Collection pull that describes them), the first
+//! candidate serve, and one start + destroy pass over every host (what
+//! the end-to-end benchmark does before it measures anything). The
+//! figures are a property of the data layout, not of the machine, so
+//! they repeat exactly from run to run and the guard below can be tight.
+//!
+//! Run `cargo test --release --test footprint -- --nocapture` to print
+//! the phase table.
+
+#![allow(unsafe_code)]
+
+use legion::apps::{Testbed, TestbedConfig};
+use legion::collection::{Collection, DataCollectionDaemon};
+use legion::core::{HostObject, Placement, ReservationRequest, SimDuration, SimTime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// The `System` allocator, counting live bytes and allocation calls.
+struct Counting;
+
+static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters are plain
+// statistics and never affect what is returned.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded with the caller's guarantees.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded with the caller's guarantees.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded with the caller's guarantees.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: forwarded with the caller's guarantees.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(
+                new_size as isize - layout.size() as isize,
+                Ordering::Relaxed,
+            );
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const HOSTS: usize = 2_000;
+
+/// Live bytes and allocation calls at one instant.
+#[derive(Clone, Copy)]
+struct Mark {
+    live: isize,
+    allocations: usize,
+}
+
+impl Mark {
+    fn now() -> Mark {
+        Mark {
+            live: LIVE_BYTES.load(Ordering::Relaxed),
+            allocations: ALLOCATIONS.load(Ordering::Relaxed),
+        }
+    }
+
+    /// (live bytes gained, allocation calls made) per host since `self`.
+    fn per_host(self) -> (isize, usize) {
+        let now = Mark::now();
+        (
+            (now.live - self.live) / HOSTS as isize,
+            (now.allocations - self.allocations) / HOSTS,
+        )
+    }
+}
+
+#[test]
+fn bytes_per_host_stay_within_budget() {
+    let start = Mark::now();
+    let tb = Testbed::build(TestbedConfig::local(HOSTS, 7));
+    let (built, built_allocs) = start.per_host();
+
+    // The Collection's share of the build: the same pull into a second,
+    // empty Collection, dropped again afterwards.
+    let pull = {
+        let start = Mark::now();
+        let daemon = DataCollectionDaemon::new(Collection::new(1));
+        for h in &tb.unix_hosts {
+            daemon.track_host(Arc::clone(h) as Arc<dyn HostObject>);
+        }
+        daemon.pull_once(SimTime::ZERO);
+        let pull = start.per_host();
+        drop(daemon);
+        pull
+    };
+
+    let class = tb.register_class("footprint", 1, 1);
+    let ctx = tb.ctx();
+    let report = ctx.class_report(class).expect("class registered");
+    let start = Mark::now();
+    let served = ctx
+        .shared_candidates_for(&report, None)
+        .expect("candidate query");
+    assert_eq!(served.len(), HOSTS);
+    drop(served);
+    let (serve, serve_allocs) = start.per_host();
+
+    // One start + destroy per host, as the benchmark's set-up does.
+    let class_obj = tb.fabric.lookup_class(class).expect("class registered");
+    let now = tb.fabric.clock().now();
+    let start = Mark::now();
+    for host in &tb.unix_hosts {
+        let vault = host.get_compatible_vaults()[0];
+        let request = ReservationRequest::instantaneous(class, vault, SimDuration::from_secs(3600))
+            .with_demand(report.cpu_centis, report.memory_mb);
+        let token = host
+            .make_reservation(&request, now)
+            .expect("idle host grants");
+        let placement = Placement {
+            host: host.loid(),
+            vault,
+            token,
+        };
+        let instance = class_obj
+            .create_instance(Some(placement), &*tb.fabric)
+            .expect("reserved host starts");
+        class_obj
+            .destroy_instance(instance, &*tb.fabric)
+            .expect("destroy own instance");
+    }
+    let (aged, aged_allocs) = start.per_host();
+
+    println!("phase                     bytes/host  allocations/host");
+    println!("bed build (hosts + pull)  {built:>10}  {built_allocs:>16}");
+    println!("  of which the pull       {:>10}  {:>16}", pull.0, pull.1);
+    println!("first candidate serve     {serve:>10}  {serve_allocs:>16}");
+    println!("start + destroy pass      {aged:>10}  {aged_allocs:>16}");
+
+    // With one `BTreeMap<String, AttrValue>` per copy of a host's
+    // attributes, an object map that keeps its emptied node, and three
+    // owned copies of every distinct indexed string, this table read:
+    //
+    //   bed build (hosts + pull)        9933               167
+    //     of which the pull             6569                92
+    //   first candidate serve            152                 2
+    //   start + destroy pass            3024               135
+    assert!(built <= 9_933 / 2, "{built} B per host after the build");
+    assert!(
+        aged <= 2_000,
+        "{aged} B per host retained by a start + destroy pass"
+    );
+    assert!(
+        aged_allocs <= 100,
+        "{aged_allocs} allocations per start + destroy"
+    );
+}
