@@ -273,7 +273,7 @@ impl Testbed {
     /// Preloads every standard host's reservation table with `per_host`
     /// long-lived, shareable, zero-demand reservations for `class`.
     ///
-    /// Admission is a linear scan of the table
+    /// Admission is a linear scan of the table's live entries
     /// (`ReservationTable::make`), so production-scale hosts carry
     /// production-scale tables; the e2e benchmark calls this so
     /// per-reservation cost reflects that regime instead of empty-table

@@ -334,6 +334,18 @@ impl StandardHost {
         (cpu, mem)
     }
 
+    /// Stops tracking `object` and, if nothing else runs under its
+    /// reservation, frees that reservation early — both under one write
+    /// guard, so the check sees exactly what the removal left.
+    fn remove_running(&self, object: Loid) -> Option<RunningObject> {
+        let mut running = self.running.write();
+        let removed = running.remove(object)?;
+        if !running.values().any(|r| r.token_serial == removed.token_serial) {
+            self.table.lock().release(removed.token_serial);
+        }
+        Some(removed)
+    }
+
     /// Re-fills the load-dependent attributes in place.
     fn refresh_attrs(&self, now: SimTime) {
         let bg = self.load.lock().current(now);
@@ -533,19 +545,7 @@ impl HostObject for StandardHost {
 
     fn kill_object(&self, object: Loid) -> Result<(), LegionError> {
         self.ensure_up()?;
-        let removed = {
-            let mut running = self.running.write();
-            running.remove(object).ok_or(LegionError::NoSuchObject(object))?
-        };
-        // Free the reservation early if nothing else runs under it.
-        let serial_in_use = self
-            .running
-            .read()
-            .values()
-            .any(|r| r.token_serial == removed.token_serial);
-        if !serial_in_use {
-            self.table.lock().release(removed.token_serial);
-        }
+        let removed = self.remove_running(object).ok_or(LegionError::NoSuchObject(object))?;
         // Drop the checkpoint OPR: a killed object must not be
         // resurrected by the Monitor's crash-recovery sweep.
         if let Some(v) = self.vaults.lookup_vault(removed.vault) {
@@ -572,12 +572,7 @@ impl HostObject for StandardHost {
         vault.store_opr(opr.clone())?;
 
         // Only remove the object once its state is safely in the vault.
-        self.running.write().remove(object);
-        let serial_in_use =
-            self.running.read().values().any(|r| r.token_serial == obj.token_serial);
-        if !serial_in_use {
-            self.table.lock().release(obj.token_serial);
-        }
+        self.remove_running(object);
         self.bump(|m| MetricsLedger::bump(&m.objects_deactivated));
         self.refresh_attrs(now);
         Ok(opr)

@@ -20,12 +20,21 @@
 //! * an instantaneous reservation lapses if not confirmed within its
 //!   timeout — "confirmation is implicit when the reservation token is
 //!   presented with the StartObject() call" (§3.1).
+//!
+//! The table keeps what holds resources apart from what is only
+//! remembered. A *live* entry (pending, confirmed or consumed) keeps its
+//! whole token in a serial-ordered list; serials are minted in
+//! increasing order, so a grant appends. A *dead* reservation (cancelled,
+//! lapsed or released) shrinks to its serial, its window end and its
+//! fate, which is all `check`, `consume`, `cancel` and `compact` read of
+//! it. Admission, `held_at` and `sweep` walk only the live list, and a
+//! watermark — the earliest instant any live entry can lapse — lets a
+//! sweep with nothing due return without walking at all.
 
 use legion_core::{
     LegionError, Loid, ReservationRequest, ReservationStatus, ReservationToken, SimTime,
     TokenMinter,
 };
-use std::collections::BTreeMap;
 
 /// Capacity the table admits against.
 #[derive(Debug, Clone, Copy)]
@@ -36,7 +45,7 @@ pub struct TableCapacity {
     pub memory_mb: u32,
 }
 
-/// Lifecycle state of one reservation entry.
+/// Lifecycle state of a live entry. Every live entry holds its window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EntryState {
     /// Granted; awaiting confirmation or its start time.
@@ -45,12 +54,9 @@ enum EntryState {
     Confirmed,
     /// One-shot token consumed.
     Consumed,
-    /// Cancelled by the Enactor.
-    Cancelled,
-    /// Lapsed (confirmation timeout or window end), or released early.
-    Expired,
 }
 
+/// A reservation that holds resources.
 #[derive(Debug, Clone)]
 struct Entry {
     token: ReservationToken,
@@ -58,17 +64,52 @@ struct Entry {
 }
 
 impl Entry {
-    /// Whether this entry holds resources during `[start, end)` overlap
-    /// checks: pending, confirmed and consumed entries all hold their
-    /// window; cancelled/expired do not.
-    fn holds(&self) -> bool {
-        matches!(self.state, EntryState::Pending | EntryState::Confirmed | EntryState::Consumed)
-    }
-
     fn overlaps(&self, start: SimTime, end: SimTime) -> bool {
         self.token.start < end && start < self.token.end()
     }
+
+    /// The first instant at which a sweep expires this entry: its
+    /// confirmation deadline (or window end, if sooner) while it awaits
+    /// confirmation, its window end once confirmed or consumed.
+    fn lapses_at(&self) -> SimTime {
+        let end = self.token.end();
+        match (self.state, self.token.confirm_by) {
+            (EntryState::Pending, Some(deadline)) => deadline.min(end),
+            _ => end,
+        }
+    }
 }
+
+/// What is remembered of a reservation that no longer holds anything.
+#[derive(Debug, Clone, Copy)]
+struct Dead {
+    serial: u64,
+    /// End of its service window, which `compact` ages it out by.
+    end: SimTime,
+    /// Cancelled by the Enactor; otherwise it lapsed or was released.
+    cancelled: bool,
+}
+
+impl Dead {
+    fn lapsed(token: &ReservationToken) -> Dead {
+        Dead { serial: token.serial, end: token.end(), cancelled: false }
+    }
+}
+
+/// Inserts `d` into the serial-ordered dead list. Reservations mostly
+/// die in the order they were granted, so the end is tried first: that
+/// touches one cold cache line where a binary search touches several.
+fn bury(dead: &mut Vec<Dead>, d: Dead) {
+    if dead.last().is_none_or(|x| x.serial < d.serial) {
+        dead.push(d);
+    } else {
+        let at = dead.partition_point(|x| x.serial < d.serial);
+        dead.insert(at, d);
+    }
+}
+
+/// The watermark of a table with no live entries.
+const NEVER: SimTime = SimTime(u64::MAX);
 
 /// The reservation table: mints, admits, confirms, expires.
 #[derive(Debug)]
@@ -76,7 +117,13 @@ pub struct ReservationTable {
     host: Loid,
     capacity: TableCapacity,
     minter: TokenMinter,
-    entries: BTreeMap<u64, Entry>,
+    /// Entries that hold resources, in serial order. A table with none
+    /// holds no allocation.
+    live: Vec<Entry>,
+    /// Cancelled, lapsed and released reservations, in serial order.
+    dead: Vec<Dead>,
+    /// No live entry lapses before this instant.
+    next_lapse: SimTime,
 }
 
 impl ReservationTable {
@@ -86,7 +133,9 @@ impl ReservationTable {
             host,
             capacity,
             minter: TokenMinter::new(host, secret),
-            entries: BTreeMap::new(),
+            live: Vec::new(),
+            dead: Vec::new(),
+            next_lapse: NEVER,
         }
     }
 
@@ -120,7 +169,7 @@ impl ReservationTable {
 
         let mut cpu_held: u64 = 0;
         let mut mem_held: u64 = 0;
-        for e in self.entries.values().filter(|e| e.holds() && e.overlaps(start, end)) {
+        for e in self.live.iter().filter(|e| e.overlaps(start, end)) {
             if !e.token.rtype.share || !req.rtype.share {
                 // Either side unshared ⇒ exclusive conflict.
                 return Err(LegionError::ReservationDenied {
@@ -149,7 +198,10 @@ impl ReservationTable {
             _ => None,
         };
         let token = self.minter.mint(req, start, confirm_by);
-        self.entries.insert(token.serial, Entry { token: token.clone(), state: EntryState::Pending });
+        // The minter's serials only grow, so appending keeps serial order.
+        let entry = Entry { token: token.clone(), state: EntryState::Pending };
+        self.next_lapse = self.next_lapse.min(entry.lapses_at());
+        self.live.push(entry);
         Ok(token)
     }
 
@@ -163,7 +215,15 @@ impl ReservationTable {
             return Err(LegionError::InvalidToken);
         }
         self.sweep(now);
-        let e = self.entries.get(&token.serial).ok_or(LegionError::InvalidToken)?;
+        let Ok(i) = self.live_index(token.serial) else {
+            let d = self.dead_index(token.serial).map_err(|_| LegionError::InvalidToken)?;
+            return Ok(if self.dead[d].cancelled {
+                ReservationStatus::Cancelled
+            } else {
+                ReservationStatus::Expired
+            });
+        };
+        let e = &self.live[i];
         Ok(match e.state {
             EntryState::Pending => {
                 if e.token.covers(now) {
@@ -174,8 +234,6 @@ impl ReservationTable {
             }
             EntryState::Confirmed => ReservationStatus::Active,
             EntryState::Consumed => ReservationStatus::Consumed,
-            EntryState::Cancelled => ReservationStatus::Cancelled,
-            EntryState::Expired => ReservationStatus::Expired,
         })
     }
 
@@ -189,13 +247,15 @@ impl ReservationTable {
             return Err(LegionError::InvalidToken);
         }
         self.sweep(now);
-        let e = self.entries.get_mut(&token.serial).ok_or(LegionError::InvalidToken)?;
-        match e.state {
-            EntryState::Consumed => return Err(LegionError::ReservationConsumed),
-            EntryState::Cancelled | EntryState::Expired => {
-                return Err(LegionError::ReservationExpired)
-            }
-            EntryState::Pending | EntryState::Confirmed => {}
+        let Ok(i) = self.live_index(token.serial) else {
+            return Err(match self.dead_index(token.serial) {
+                Ok(_) => LegionError::ReservationExpired,
+                Err(_) => LegionError::InvalidToken,
+            });
+        };
+        let e = &mut self.live[i];
+        if e.state == EntryState::Consumed {
+            return Err(LegionError::ReservationConsumed);
         }
         if now < e.token.start {
             return Err(LegionError::ReservationDenied {
@@ -203,31 +263,33 @@ impl ReservationTable {
                 reason: format!("service window opens at {}", e.token.start),
             });
         }
-        if now >= e.token.end() {
-            e.state = EntryState::Expired;
-            return Err(LegionError::ReservationExpired);
-        }
+        // The sweep above expired every entry whose window is over, so
+        // `now` falls inside this one's.
         e.state = if e.token.rtype.reuse { EntryState::Confirmed } else { EntryState::Consumed };
         Ok(())
     }
 
-    /// Cancels a reservation (Enactor backing out of a schedule).
+    /// Cancels a reservation (Enactor backing out of a schedule). A dead
+    /// reservation is re-fated as cancelled.
     pub fn cancel(&mut self, token: &ReservationToken) -> Result<(), LegionError> {
         if !self.minter.verify(token) {
             return Err(LegionError::InvalidToken);
         }
-        let e = self.entries.get_mut(&token.serial).ok_or(LegionError::InvalidToken)?;
-        e.state = EntryState::Cancelled;
+        match self.live_index(token.serial) {
+            Ok(i) => self.retire(i, true),
+            Err(_) => {
+                let d = self.dead_index(token.serial).map_err(|_| LegionError::InvalidToken)?;
+                self.dead[d].cancelled = true;
+            }
+        }
         Ok(())
     }
 
     /// Releases a reservation early (e.g. its one-shot job finished),
     /// freeing the window for others.
     pub fn release(&mut self, serial: u64) {
-        if let Some(e) = self.entries.get_mut(&serial) {
-            if e.holds() {
-                e.state = EntryState::Expired;
-            }
+        if let Ok(i) = self.live_index(serial) {
+            self.retire(i, false);
         }
     }
 
@@ -237,27 +299,36 @@ impl ReservationTable {
     /// never collide with a pre-crash serial — a stale token presented
     /// later fails with `ReservationExpired`, not a false match.
     pub fn expire_all(&mut self) -> usize {
-        let mut n = 0;
-        for e in self.entries.values_mut() {
-            if e.holds() {
-                e.state = EntryState::Expired;
-                n += 1;
-            }
-        }
+        let live = std::mem::take(&mut self.live);
+        let n = live.len();
+        self.dead.extend(live.iter().map(|e| Dead::lapsed(&e.token)));
+        self.dead.sort_unstable_by_key(|d| d.serial);
+        self.next_lapse = NEVER;
         n
     }
 
-    /// Expires lapsed entries; returns the tokens that expired this sweep.
+    /// Expires lapsed entries; returns the tokens that expired this
+    /// sweep, in serial order. Returns at once while `now` is before
+    /// the watermark, and recomputes it otherwise.
     pub fn sweep(&mut self, now: SimTime) -> Vec<ReservationToken> {
+        if now < self.next_lapse {
+            return Vec::new();
+        }
         let mut expired = Vec::new();
-        for e in self.entries.values_mut() {
-            let lapsed_confirmation = e.state == EntryState::Pending
-                && e.token.confirm_by.is_some_and(|d| now >= d);
-            let window_over = e.holds() && now >= e.token.end();
-            if lapsed_confirmation || window_over {
-                e.state = EntryState::Expired;
-                expired.push(e.token.clone());
+        let mut next_lapse = NEVER;
+        self.live.retain(|e| {
+            let lapses_at = e.lapses_at();
+            if now < lapses_at {
+                next_lapse = next_lapse.min(lapses_at);
+                return true;
             }
+            expired.push(e.token.clone());
+            false
+        });
+        self.next_lapse = next_lapse;
+        self.free_if_idle();
+        for token in &expired {
+            bury(&mut self.dead, Dead::lapsed(token));
         }
         expired
     }
@@ -266,7 +337,7 @@ impl ReservationTable {
     pub fn held_at(&self, now: SimTime) -> (u32, u32) {
         let mut cpu = 0u32;
         let mut mem = 0u32;
-        for e in self.entries.values().filter(|e| e.holds() && e.token.covers(now)) {
+        for e in self.live.iter().filter(|e| e.token.covers(now)) {
             if e.token.rtype.share {
                 cpu += e.token.cpu_centis;
                 mem += e.token.memory_mb;
@@ -280,33 +351,55 @@ impl ReservationTable {
 
     /// Number of live (holding) entries.
     pub fn live_count(&self) -> usize {
-        self.entries.values().filter(|e| e.holds()).count()
+        self.live.len()
     }
 
-    /// Total entries ever granted (diagnostics).
+    /// Entries the table still knows of, live or dead (diagnostics).
     pub fn total_granted(&self) -> usize {
-        self.entries.len()
+        self.live.len() + self.dead.len()
     }
 
-    /// Drops cancelled/expired entries older than `horizon` to bound
-    /// memory in long experiments.
+    /// Forgets cancelled/expired reservations whose window ended before
+    /// `horizon`, to bound memory in long experiments. Live entries are
+    /// always kept.
     pub fn compact(&mut self, horizon: SimTime) {
-        self.entries.retain(|_, e| e.holds() || e.token.end() >= horizon);
+        self.dead.retain(|d| d.end >= horizon);
     }
 
-    /// Garbage-collects dead entries once they dominate the table, so
-    /// admission scans stay proportional to *live* reservations rather
-    /// than all reservations ever granted. Checks against a collected
+    /// Forgets every dead reservation once the dead outnumber the live
+    /// four to one (above a floor of 64 entries), so a table's memory
+    /// stays proportional to what it holds. Checks against a forgotten
     /// token thereafter report `InvalidToken` (the record is gone), the
     /// same observable behaviour as an explicit [`Self::compact`].
     fn autocompact(&mut self) {
         const MIN_ENTRIES: usize = 64;
-        if self.entries.len() < MIN_ENTRIES {
-            return;
+        let total = self.total_granted();
+        if total >= MIN_ENTRIES && total > 4 * self.live.len().max(1) {
+            self.dead.clear();
         }
-        let live = self.live_count();
-        if self.entries.len() > 4 * live.max(1) {
-            self.entries.retain(|_, e| e.holds());
+    }
+
+    fn live_index(&self, serial: u64) -> Result<usize, usize> {
+        self.live.binary_search_by_key(&serial, |e| e.token.serial)
+    }
+
+    fn dead_index(&self, serial: u64) -> Result<usize, usize> {
+        self.dead.binary_search_by_key(&serial, |d| d.serial)
+    }
+
+    /// Moves live entry `i` to the dead list. The watermark stays a lower
+    /// bound on what is left, so it needs no update.
+    fn retire(&mut self, i: usize, cancelled: bool) {
+        let e = self.live.remove(i);
+        self.free_if_idle();
+        bury(&mut self.dead, Dead { cancelled, ..Dead::lapsed(&e.token) });
+    }
+
+    /// An emptied live list frees its buffer and has nothing to lapse.
+    fn free_if_idle(&mut self) {
+        if self.live.is_empty() {
+            self.live = Vec::new();
+            self.next_lapse = NEVER;
         }
     }
 
@@ -524,5 +617,52 @@ mod tests {
         assert_eq!(t.total_granted(), 1);
         assert_eq!(t.check(&tok2, SimTime::ZERO).unwrap(), ReservationStatus::Pending);
         assert!(matches!(t.check(&tok, SimTime::ZERO), Err(LegionError::InvalidToken)));
+    }
+
+    #[test]
+    fn confirmed_token_lapses_at_window_end_not_deadline() {
+        let mut t = table(400, 1024);
+        let mut r = req(ReservationType::ONE_SHOT_TIME, 100, 64);
+        r.timeout = Some(SimDuration::from_secs(10));
+        let tok = t.make(&r, SimTime::ZERO).unwrap();
+        t.consume(&tok, SimTime::from_secs(5)).unwrap();
+        // Past the confirmation deadline, but consumed: still held.
+        assert!(t.sweep(SimTime::from_secs(20)).is_empty());
+        assert_eq!(t.held_at(SimTime::from_secs(50)), (100, 64));
+        // Past the window end: expired, and nothing held any more.
+        assert_eq!(t.sweep(SimTime::from_secs(101)), vec![tok]);
+        assert_eq!(t.held_at(SimTime::from_secs(50)), (0, 0));
+    }
+
+    #[test]
+    fn dead_serials_keep_fate_and_window() {
+        let mut t = table(400, 1024);
+        let r = req(ReservationType::ONE_SHOT_TIME, 10, 10);
+        let early = t.make(&r, SimTime::ZERO).unwrap(); // window ends at 100 s
+        let late = t.make(&r.clone().starting_at(SimTime::from_secs(200)), SimTime::ZERO).unwrap();
+        t.cancel(&early).unwrap();
+        assert_eq!(t.check(&early, SimTime::ZERO).unwrap(), ReservationStatus::Cancelled);
+        t.release(late.serial);
+        assert_eq!(t.check(&late, SimTime::ZERO).unwrap(), ReservationStatus::Expired);
+        assert!(matches!(
+            t.consume(&late, SimTime::from_secs(250)),
+            Err(LegionError::ReservationExpired)
+        ));
+        // Cancelling a dead reservation re-fates it.
+        t.cancel(&late).unwrap();
+        assert_eq!(t.check(&late, SimTime::ZERO).unwrap(), ReservationStatus::Cancelled);
+
+        // `compact` forgets by window end: 100 s < 150 s ≤ 300 s.
+        t.compact(SimTime::from_secs(150));
+        assert!(matches!(t.check(&early, SimTime::ZERO), Err(LegionError::InvalidToken)));
+        assert_eq!(t.check(&late, SimTime::ZERO).unwrap(), ReservationStatus::Cancelled);
+
+        // Dead entries far outnumbering the live ones are forgotten.
+        for _ in 0..64 {
+            let tok = t.make(&r, SimTime::ZERO).unwrap();
+            t.release(tok.serial);
+        }
+        assert!(matches!(t.check(&late, SimTime::ZERO), Err(LegionError::InvalidToken)));
+        assert_eq!(t.live_count(), 0);
     }
 }
