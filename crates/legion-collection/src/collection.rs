@@ -40,7 +40,7 @@ use legion_core::{AttrValue, AttributeDb, LegionError, Loid, LoidKind, SimTime, 
 use legion_fabric::MetricsLedger;
 use legion_trace::TraceSink;
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -51,6 +51,14 @@ pub const DEFAULT_SHARDS: usize = 8;
 
 /// One shard: a slice of the records plus the secondary indexes over
 /// exactly that slice, under one lock so the two can never drift apart.
+///
+/// Every write that can change attributes goes through `insert`,
+/// `remove` or `mutate_attrs`, and each keeps the indexes in step with
+/// one [`AttributeIndexes::reindex`] from the outgoing record's
+/// attributes to the incoming one's (none for a new member or a
+/// departure). A rewrite therefore costs the attributes that changed,
+/// not the attributes the record has. A touch only re-points the
+/// snapshot and leaves the indexes alone.
 #[derive(Default)]
 struct Shard {
     /// Member → shared record snapshot. Queries clone the `Arc`, not
@@ -67,13 +75,16 @@ struct Shard {
 }
 
 impl Shard {
+    /// Installs `record` as its member's snapshot. A member already
+    /// present — a daemon's first join of a host another daemon
+    /// described, a mirror's upsert — is re-indexed from its outgoing
+    /// record, so only the attributes that differ move.
     fn insert(&mut self, record: Arc<CollectionRecord>) {
         let member = record.member;
-        if let Some(old) = self.records.remove(&member) {
-            self.indexes.remove(member, &old.attrs);
+        match self.records.insert(member, Arc::clone(&record)) {
+            Some(old) => self.indexes.reindex(member, &old.attrs, &record.attrs),
+            None => self.indexes.insert(member, &record.attrs),
         }
-        self.indexes.insert(member, &record.attrs);
-        self.records.insert(member, record);
     }
 
     fn remove(&mut self, member: Loid) -> Option<Arc<CollectionRecord>> {
@@ -83,9 +94,12 @@ impl Shard {
     }
 
     /// Installs the snapshot that succeeds `member`'s current one —
-    /// `next` builds its attributes from the outgoing ones — keeping
-    /// the indexes in sync. Returns the installed snapshot (for delta
-    /// logging); holders of the outgoing one keep it unchanged.
+    /// `next` builds its attributes from the outgoing ones — and
+    /// re-indexes only the attributes whose value differs between the
+    /// two (`update` and `replace`; a pull of a reassessed host moves
+    /// its load, free memory, draining flag and object count). Returns
+    /// the installed snapshot (for delta logging); holders of the
+    /// outgoing one keep it unchanged.
     fn mutate_attrs(
         &mut self,
         member: Loid,
@@ -99,8 +113,7 @@ impl Shard {
             joined_at: slot.joined_at,
             updated_at: now,
         });
-        self.indexes.remove(member, &slot.attrs);
-        self.indexes.insert(member, &rec.attrs);
+        self.indexes.reindex(member, &slot.attrs, &rec.attrs);
         *slot = Arc::clone(&rec);
         Ok(rec)
     }
@@ -374,6 +387,11 @@ impl Collection {
     }
 
     /// Replaces a record's attributes wholesale (pull-daemon refresh).
+    ///
+    /// The stored snapshot is the new record, whole; the indexes move
+    /// only for the attributes whose value differs from the outgoing
+    /// record's. A reassessed host re-indexes its load and free memory,
+    /// not its name, LOID or vault list.
     pub fn replace(
         &self,
         cred: &MemberCredential,
@@ -457,12 +475,17 @@ impl Collection {
     }
 
     /// Replaces the entire contents with `records` (mirror full
-    /// resync). Emits Remove/Upsert deltas for any downstream log.
+    /// resync). Members `records` no longer carries are removed; every
+    /// record is then upserted, so a surviving member is re-indexed from
+    /// its outgoing record like any other upsert. Emits Remove/Upsert
+    /// deltas for any downstream log.
     pub(crate) fn replace_all(&self, records: Vec<Arc<CollectionRecord>>) {
+        let kept: BTreeSet<Loid> = records.iter().map(|r| r.member).collect();
         for shard_lock in &self.shards {
             let mut shard = shard_lock.write();
-            let members: Vec<Loid> = shard.records.keys().copied().collect();
-            for member in members {
+            let gone: Vec<Loid> =
+                shard.records.keys().filter(|m| !kept.contains(m)).copied().collect();
+            for member in gone {
                 shard.remove(member);
                 self.log_delta(DeltaOp::Remove { member });
                 self.bump_epoch();

@@ -31,7 +31,11 @@
 //!
 //! Indexes are maintained incrementally on join/update/replace/leave/
 //! evict under the same lock as the record map (one such pair per
-//! shard), so they can never drift from the records. Lookups return
+//! shard), so they can never drift from the records. Every such write
+//! is one [`AttributeIndexes::reindex`] from the record's old attributes
+//! to its new ones (a join starts from none, a leave ends with none),
+//! which moves only the attributes whose value changed: a reassessed
+//! host's load and free memory, not its name. Lookups return
 //! **sorted member vectors** so conjunct candidate sets intersect by
 //! linear merge before any residual filter runs. Every lookup is
 //! *superset-correct* for its predicate; several (equality, ranges,
@@ -46,6 +50,7 @@
 
 use legion_core::{AttrValue, AttributeDb, Loid};
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
@@ -209,11 +214,15 @@ fn named<'a, V: Default>(map: &'a mut HashMap<String, V>, name: &str) -> &'a mut
 struct TrigramIndex {
     /// Live value → interned id.
     ids: HashMap<Arc<str>, u32>,
-    /// Interned id → value (candidate verification needs the text).
-    values: HashMap<u32, Arc<str>>,
+    /// Interned id → value (candidate verification needs the text);
+    /// `None` while the id waits in `free`.
+    values: Vec<Option<Arc<str>>>,
     /// 3-byte window → ids of values containing it.
     grams: HashMap<[u8; 3], Bucket<u32>>,
-    next_id: u32,
+    /// Ids released by values that left, handed out again before
+    /// `values` grows: ids stay below the most distinct values ever
+    /// live at once, so a new value never takes a live value's id.
+    free: Vec<u32>,
 }
 
 fn trigrams(value: &str) -> impl Iterator<Item = [u8; 3]> + '_ {
@@ -222,10 +231,18 @@ fn trigrams(value: &str) -> impl Iterator<Item = [u8; 3]> + '_ {
 
 impl TrigramIndex {
     fn add_value(&mut self, value: &Arc<str>) {
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.values[id as usize] = Some(Arc::clone(value));
+                id
+            }
+            None => {
+                let id = u32::try_from(self.values.len()).expect("under 2^32 live values");
+                self.values.push(Some(Arc::clone(value)));
+                id
+            }
+        };
         self.ids.insert(Arc::clone(value), id);
-        self.values.insert(id, Arc::clone(value));
         for g in trigrams(value) {
             self.grams
                 .entry(g)
@@ -238,7 +255,8 @@ impl TrigramIndex {
 
     fn remove_value(&mut self, value: &str) {
         let Some(id) = self.ids.remove(value) else { return };
-        self.values.remove(&id);
+        self.values[id as usize] = None;
+        self.free.push(id);
         for g in trigrams(value) {
             if let Some(postings) = self.grams.get_mut(&g) {
                 if let Removal::Last = postings.remove(id) {
@@ -265,8 +283,13 @@ impl TrigramIndex {
         smallest
             .members()
             .filter(|id| posting_sets.iter().all(|s| s.contains(id)))
-            .filter(|id| self.values[id].contains(needle))
+            .filter(|&id| self.value(id).contains(needle))
             .collect()
+    }
+
+    /// The text of a live id (every id a posting holds is live).
+    fn value(&self, id: u32) -> &str {
+        self.values[id as usize].as_deref().expect("posted ids are live")
     }
 }
 
@@ -373,60 +396,103 @@ impl AttributeIndexes {
         Self::default()
     }
 
-    /// Indexes every attribute of `member`'s record.
+    /// Indexes every attribute of a new member's record: a
+    /// [`Self::reindex`] from nothing.
     pub fn insert(&mut self, member: Loid, attrs: &AttributeDb) {
-        for (name, value) in attrs.iter() {
-            if let AttrValue::Str(s) = value {
-                let si = named(&mut self.strings, name);
-                let (added, new_value) = add_member(&mut si.by_val, Arc::clone(s), member);
-                if new_value {
-                    si.trigrams.add_value(s);
+        self.reindex(member, &AttributeDb::new(), attrs);
+    }
+
+    /// Un-indexes every attribute of a leaving member's record (the
+    /// exact `attrs` last indexed for it): a [`Self::reindex`] to
+    /// nothing.
+    pub fn remove(&mut self, member: Loid, attrs: &AttributeDb) {
+        self.reindex(member, attrs, &AttributeDb::new());
+    }
+
+    /// Moves `member` from `old` (the exact attributes last indexed for
+    /// it) to `new`, touching only what differs. One merge walk over
+    /// the two name-ordered databases un-indexes an old entry and
+    /// indexes a new one where a name is on one side only or its two
+    /// values are `!=`; an attribute whose value is unchanged keeps its
+    /// entries. That is safe because equal values index identically
+    /// (`NumKey` folds `-0.0` onto `0.0`). `Int(1)` against
+    /// `Float(1.0)`, or `NaN` against `NaN`, compare unequal and are
+    /// re-indexed to the same place, which is only redundant.
+    pub fn reindex(&mut self, member: Loid, old: &AttributeDb, new: &AttributeDb) {
+        let (mut old, mut new) = (old.iter().peekable(), new.iter().peekable());
+        loop {
+            let order = match (old.peek(), new.peek()) {
+                (Some((a, _)), Some((b, _))) => a.cmp(b),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => return,
+            };
+            let was = if order.is_le() { old.next() } else { None };
+            let is = if order.is_ge() { new.next() } else { None };
+            if let (Some((_, a)), Some((_, b))) = (was, is) {
+                if a == b {
+                    continue;
                 }
-                if added {
-                    si.total += 1;
-                }
-            } else if let Some(key) = value.as_f64().and_then(NumKey::new) {
-                let ni = named(&mut self.numbers, name);
-                if add_member(&mut ni.by_val, key, member).0 {
-                    ni.total += 1;
-                }
-            } else {
-                // Bools, lists and NaN are only findable via `exists()`;
-                // comparisons on them fall back to the scan path.
-                named(&mut self.unindexed, name).insert(member);
+            }
+            if let Some((name, value)) = was {
+                self.unindex(member, name, value);
+            }
+            if let Some((name, value)) = is {
+                self.index(member, name, value);
             }
         }
     }
 
-    /// Un-indexes every attribute of `member`'s record (the exact
-    /// `attrs` previously passed to [`Self::insert`]).
-    pub fn remove(&mut self, member: Loid, attrs: &AttributeDb) {
-        for (name, value) in attrs.iter() {
-            if let AttrValue::Str(s) = value {
-                let Some(si) = self.strings.get_mut(name) else { continue };
-                let (removed, value_gone) = remove_member(&mut si.by_val, &**s, member);
-                if value_gone {
-                    si.trigrams.remove_value(s);
-                }
-                if removed {
-                    si.total -= 1;
-                }
-                if si.by_val.is_empty() {
-                    self.strings.remove(name);
-                }
-            } else if let Some(key) = value.as_f64().and_then(NumKey::new) {
-                let Some(ni) = self.numbers.get_mut(name) else { continue };
-                if remove_member(&mut ni.by_val, &key, member).0 {
-                    ni.total -= 1;
-                }
-                if ni.by_val.is_empty() {
-                    self.numbers.remove(name);
-                }
-            } else if let Some(set) = self.unindexed.get_mut(name) {
-                set.remove(&member);
-                if set.is_empty() {
-                    self.unindexed.remove(name);
-                }
+    /// Files `member` under `name = value`.
+    fn index(&mut self, member: Loid, name: &str, value: &AttrValue) {
+        if let AttrValue::Str(s) = value {
+            let si = named(&mut self.strings, name);
+            let (added, new_value) = add_member(&mut si.by_val, Arc::clone(s), member);
+            if new_value {
+                si.trigrams.add_value(s);
+            }
+            if added {
+                si.total += 1;
+            }
+        } else if let Some(key) = value.as_f64().and_then(NumKey::new) {
+            let ni = named(&mut self.numbers, name);
+            if add_member(&mut ni.by_val, key, member).0 {
+                ni.total += 1;
+            }
+        } else {
+            // Bools, lists and NaN are only findable via `exists()`;
+            // comparisons on them fall back to the scan path.
+            named(&mut self.unindexed, name).insert(member);
+        }
+    }
+
+    /// Takes `member` out from under `name = value`, dropping whatever
+    /// that leaves empty.
+    fn unindex(&mut self, member: Loid, name: &str, value: &AttrValue) {
+        if let AttrValue::Str(s) = value {
+            let Some(si) = self.strings.get_mut(name) else { return };
+            let (removed, value_gone) = remove_member(&mut si.by_val, &**s, member);
+            if value_gone {
+                si.trigrams.remove_value(s);
+            }
+            if removed {
+                si.total -= 1;
+            }
+            if si.by_val.is_empty() {
+                self.strings.remove(name);
+            }
+        } else if let Some(key) = value.as_f64().and_then(NumKey::new) {
+            let Some(ni) = self.numbers.get_mut(name) else { return };
+            if remove_member(&mut ni.by_val, &key, member).0 {
+                ni.total -= 1;
+            }
+            if ni.by_val.is_empty() {
+                self.numbers.remove(name);
+            }
+        } else if let Some(set) = self.unindexed.get_mut(name) {
+            set.remove(&member);
+            if set.is_empty() {
+                self.unindexed.remove(name);
             }
         }
     }
@@ -462,7 +528,7 @@ impl AttributeIndexes {
         let mut out = Vec::new();
         if needle.len() >= 3 {
             for id in si.trigrams.candidate_values(needle) {
-                if let Some(bucket) = si.by_val.get(&*si.trigrams.values[&id]) {
+                if let Some(bucket) = si.by_val.get(si.trigrams.value(id)) {
                     out.extend(bucket.members());
                 }
             }
@@ -550,7 +616,7 @@ impl AttributeIndexes {
             return si.total.min(cap);
         }
         let ids = si.trigrams.candidate_values(needle);
-        capped_sum(ids.iter().filter_map(|id| si.by_val.get(&*si.trigrams.values[id])), cap)
+        capped_sum(ids.iter().filter_map(|&id| si.by_val.get(si.trigrams.value(id))), cap)
     }
 
     /// Hit count of [`Self::lookup_str_first_ranges`], saturating at
@@ -611,6 +677,7 @@ fn to_key_bound(b: Bound<f64>) -> Option<Bound<NumKey>> {
 mod tests {
     use super::*;
     use legion_core::LoidKind;
+    use proptest::prelude::*;
 
     const CAP: usize = usize::MAX;
 
@@ -797,6 +864,25 @@ mod tests {
     }
 
     #[test]
+    fn released_trigram_ids_are_reused() {
+        let mut idx = AttributeIndexes::new();
+        idx.insert(l(1), &AttributeDb::new().with("name", "u0-live"));
+        for i in 0..10_000 {
+            let churn = AttributeDb::new().with("name", format!("u{i}-churn"));
+            idx.insert(l(2), &churn);
+            idx.remove(l(2), &churn);
+        }
+        idx.insert(l(2), &AttributeDb::new().with("name", "u9-last"));
+        let trigrams = &idx.strings["name"].trigrams;
+        assert!(trigrams.ids.values().all(|&id| id <= 1), "{:?}", trigrams.ids);
+        assert!(trigrams.values.len() <= 2, "{} ids handed out", trigrams.values.len());
+        assert_eq!(idx.lookup_str_contains("name", "-live"), ls(&[1]));
+        assert_eq!(idx.lookup_str_contains("name", "-last"), ls(&[2]));
+        assert_eq!(idx.lookup_str_contains("name", "churn"), Vec::<Loid>::new());
+        assert_eq!(idx.lookup_str_contains("name", "u9-"), ls(&[2]));
+    }
+
+    #[test]
     fn sorted_merge_helpers() {
         let a = ls(&[1, 2, 3, 5]);
         let b = ls(&[2, 3, 4]);
@@ -804,5 +890,105 @@ mod tests {
         assert_eq!(intersect_sorted(&a, &[]), Vec::<Loid>::new());
         assert_eq!(union_sorted(vec![a.clone(), b.clone()]), ls(&[1, 2, 3, 4, 5]));
         assert_eq!(union_sorted(vec![]), Vec::<Loid>::new());
+    }
+
+    impl AttributeIndexes {
+        /// Everything the indexes hold, one sorted line per bucket:
+        /// string and numeric buckets (with their representation),
+        /// totals, the `unindexed` sets, the interned values, and every
+        /// trigram posting resolved to value text. Ids are left out,
+        /// since which id a value gets depends on history; two index
+        /// sets that dump equally answer every lookup alike.
+        fn canonical(&self) -> Vec<String> {
+            let mut out = Vec::new();
+            for (name, si) in &self.strings {
+                out.push(format!("{name} str total {}", si.total));
+                for (value, bucket) in &si.by_val {
+                    out.push(format!("{name} str {value:?} {bucket:?}"));
+                }
+                let t = &si.trigrams;
+                assert_eq!(t.ids.len() + t.free.len(), t.values.len(), "{name}: ids leak");
+                for (value, &id) in &t.ids {
+                    assert_eq!(t.value(id), &**value, "{name}: id {id} resolves elsewhere");
+                    out.push(format!("{name} interned {value:?}"));
+                }
+                for &id in &t.free {
+                    assert!(t.values[id as usize].is_none(), "{name}: free id {id} is live");
+                }
+                for (gram, postings) in &t.grams {
+                    let mut texts: Vec<&str> = postings.members().map(|id| t.value(id)).collect();
+                    texts.sort_unstable();
+                    let kind = if let Bucket::One(_) = postings { "one" } else { "many" };
+                    out.push(format!("{name} gram {gram:?} {kind} {texts:?}"));
+                }
+            }
+            for (name, ni) in &self.numbers {
+                out.push(format!("{name} num total {}", ni.total));
+                for (key, bucket) in &ni.by_val {
+                    out.push(format!("{name} num {:?} {bucket:?}", key.0));
+                }
+            }
+            for (name, set) in &self.unindexed {
+                out.push(format!("{name} unindexed {set:?}"));
+            }
+            out.sort_unstable();
+            out
+        }
+    }
+
+    /// Values with every equality edge the walk relies on: a shared
+    /// string (one `Arc` cloned), strings rebuilt from equal text
+    /// (equal, not pointer-equal), unique strings, `Int(1)` beside
+    /// `Float(1.0)`, both zeros, `NaN`, bools and lists.
+    fn arb_value() -> impl Strategy<Value = AttrValue> {
+        prop_oneof![
+            Just(AttrValue::from("IRIX")),
+            (0u32..3).prop_map(|n| AttrValue::from(format!("site{n}.edu"))),
+            (0u32..10_000).prop_map(|n| AttrValue::from(format!("u0-{n}"))),
+            Just(AttrValue::Int(1)),
+            Just(AttrValue::Float(1.0)),
+            Just(AttrValue::Float(0.0)),
+            Just(AttrValue::Float(-0.0)),
+            Just(AttrValue::Float(f64::NAN)),
+            any::<bool>().prop_map(AttrValue::Bool),
+            proptest::collection::vec(Just(AttrValue::from("v")), 0..2).prop_map(AttrValue::List),
+        ]
+    }
+
+    /// One step: a member's record has some of its attributes set or
+    /// dropped (names from a pool of five), the rest kept as they are.
+    fn arb_step() -> impl Strategy<Value = (u64, Vec<(usize, Option<AttrValue>)>)> {
+        let edit = (0usize..5, prop_oneof![Just(None), arb_value().prop_map(Some)]);
+        (0u64..3, proptest::collection::vec(edit, 0..4))
+    }
+
+    proptest! {
+        /// Moving members through random records one `reindex` at a time
+        /// leaves the indexes exactly as inserting every member's
+        /// current record into an empty set does.
+        #[test]
+        fn reindex_equals_a_rebuild(steps in proptest::collection::vec(arb_step(), 1..40)) {
+            const NAMES: [&str; 5] = ["arch", "host_load", "host_name", "os", "zone"];
+            let mut idx = AttributeIndexes::new();
+            let mut records: BTreeMap<u64, AttributeDb> = BTreeMap::new();
+            for (member, edits) in &steps {
+                let old = records.get(member).cloned().unwrap_or_default();
+                let mut new = old.clone();
+                for (name, value) in edits {
+                    match value {
+                        Some(v) => new.set(NAMES[*name], v.clone()),
+                        None => new.remove(NAMES[*name]),
+                    };
+                }
+                idx.reindex(l(*member), &old, &new);
+                records.insert(*member, new);
+
+                let mut rebuilt = AttributeIndexes::new();
+                for (m, attrs) in &records {
+                    rebuilt.insert(l(*m), attrs);
+                }
+                prop_assert_eq!(idx.canonical(), rebuilt.canonical());
+            }
+        }
     }
 }

@@ -43,6 +43,10 @@ fn arb_value() -> impl Strategy<Value = AttrValue> {
     prop_oneof![
         (-4i64..4).prop_map(AttrValue::Int),
         (-2.0f64..2.0).prop_map(AttrValue::Float),
+        Just(AttrValue::Float(-0.0)),
+        Just(AttrValue::Float(0.0)),
+        Just(AttrValue::Float(1.0)),
+        Just(AttrValue::Int(1)),
         arb_str().prop_map(AttrValue::from),
         any::<bool>().prop_map(AttrValue::Bool),
         proptest::collection::vec("[xy]".prop_map(AttrValue::from), 0..3)

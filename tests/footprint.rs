@@ -3,8 +3,10 @@
 //! A counting global allocator measures the live heap before and after
 //! each phase of a bed's life on 2,000 Unix hosts: building the bed
 //! (hosts plus the Collection pull that describes them), the first
-//! candidate serve, and one start + destroy pass over every host (what
-//! the end-to-end benchmark does before it measures anything). The
+//! candidate serve, one start + destroy pass over every host (what the
+//! end-to-end benchmark does before it measures anything), and one
+//! reassessment of every host with a changed load pulled back into the
+//! Collection (what each of the benchmark's churn steps does). The
 //! figures are a property of the data layout, not of the machine, so
 //! they repeat exactly from run to run and the guard below can be tight.
 //!
@@ -16,6 +18,7 @@
 use legion::apps::{Testbed, TestbedConfig};
 use legion::collection::{Collection, DataCollectionDaemon};
 use legion::core::{HostObject, Placement, ReservationRequest, SimDuration, SimTime};
+use legion::hosts::BackgroundLoad;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -156,11 +159,26 @@ fn bytes_per_host_stay_within_budget() {
     }
     let (aged, aged_allocs) = start.per_host();
 
+    // Every host's load moves and it reassesses, then the bed's daemon
+    // pulls them all: one `replace` of a changed record per host, which
+    // is what the benchmark's churn steps do.
+    for host in &tb.unix_hosts {
+        host.set_background_load(BackgroundLoad::steady(0.5));
+    }
+    let later = tb.fabric.clock().advance(SimDuration::from_secs(1));
+    let start = Mark::now();
+    for host in &tb.unix_hosts {
+        host.reassess(later);
+    }
+    assert_eq!(tb.daemon.pull_once(later), HOSTS);
+    let (repulled, repulled_allocs) = start.per_host();
+
     println!("phase                     bytes/host  allocations/host");
     println!("bed build (hosts + pull)  {built:>10}  {built_allocs:>16}");
     println!("  of which the pull       {:>10}  {:>16}", pull.0, pull.1);
     println!("first candidate serve     {serve:>10}  {serve_allocs:>16}");
     println!("start + destroy pass      {aged:>10}  {aged_allocs:>16}");
+    println!("reassess + pull           {repulled:>10}  {repulled_allocs:>16}");
 
     // With one `BTreeMap<String, AttrValue>` per copy of a host's
     // attributes, an object map that keeps its emptied node, and three
@@ -179,6 +197,17 @@ fn bytes_per_host_stay_within_budget() {
     //     of which the pull             2941                17
     //   first candidate serve            152                 2
     //   start + destroy pass            1688                15
+    //
+    // With a reservation table that keeps only live tokens whole, but a
+    // Collection that re-indexed every attribute of a changed record —
+    // the host's name and LOID text, their trigram postings, its vault
+    // list — on every pull:
+    //
+    //   bed build (hosts + pull)        4916                44
+    //     of which the pull             2941                17
+    //   first candidate serve            152                 2
+    //   start + destroy pass              96                16
+    //   reassess + pull                  739                21
     assert!(built <= 9_933 / 2, "{built} B per host after the build");
     assert!(
         aged <= 200,
@@ -187,5 +216,10 @@ fn bytes_per_host_stay_within_budget() {
     assert!(
         aged_allocs <= 100,
         "{aged_allocs} allocations per start + destroy"
+    );
+    // A pull re-indexes only the attributes whose value moved: 6 today.
+    assert!(
+        repulled_allocs <= 8,
+        "{repulled_allocs} allocations per reassess + pull"
     );
 }
