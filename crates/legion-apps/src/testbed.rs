@@ -273,11 +273,10 @@ impl Testbed {
     /// Preloads every standard host's reservation table with `per_host`
     /// long-lived, shareable, zero-demand reservations for `class`.
     ///
-    /// Admission is a linear scan of the table's live entries
-    /// (`ReservationTable::make`), so production-scale hosts carry
-    /// production-scale tables; the e2e benchmark calls this so
-    /// per-reservation cost reflects that regime instead of empty-table
-    /// best cases. The fillers are shareable (`ONE_SHOT_TIME`) and ask
+    /// A table's sweeps, lookups and memory grow with its live entries,
+    /// so production-scale hosts carry production-scale tables; the e2e
+    /// benchmark calls this so per-reservation cost reflects that regime
+    /// instead of empty-table best cases. The fillers are shareable (`ONE_SHOT_TIME`) and ask
     /// for nothing, so they never deny capacity to real traffic, and
     /// they carry an explicit start time, so they never lapse into
     /// confirmation timeouts and compact away. Returns the number made.

@@ -411,20 +411,25 @@ impl HostObject for StandardHost {
             .vaults
             .lookup_vault(req.vault)
             .ok_or(LegionError::VaultUnreachable { host: self.loid, vault: req.vault })?;
-        let attrs = self.published.read().attrs.clone();
-        if !vault.compatible_with_host(&attrs) {
-            self.bump(|m| MetricsLedger::bump(&m.reservations_denied));
-            return Err(LegionError::VaultIncompatible { host: self.loid, vault: req.vault });
-        }
-
-        // 2. Local placement policy (§3.1 — site autonomy).
-        for p in self.policies.read().iter() {
-            if let Err(reason) = p.permit(req, &attrs, now) {
+        {
+            // Both checks read the attributes under one read guard,
+            // which ends before the table is locked.
+            let published = self.published.read();
+            let attrs = &published.attrs;
+            if !vault.compatible_with_host(attrs) {
                 self.bump(|m| MetricsLedger::bump(&m.reservations_denied));
-                return Err(LegionError::PolicyRefused {
-                    host: self.loid,
-                    policy: format!("{}: {reason}", p.name()),
-                });
+                return Err(LegionError::VaultIncompatible { host: self.loid, vault: req.vault });
+            }
+
+            // 2. Local placement policy (§3.1 — site autonomy).
+            for p in self.policies.read().iter() {
+                if let Err(reason) = p.permit(req, attrs, now) {
+                    self.bump(|m| MetricsLedger::bump(&m.reservations_denied));
+                    return Err(LegionError::PolicyRefused {
+                        host: self.loid,
+                        policy: format!("{}: {reason}", p.name()),
+                    });
+                }
             }
         }
 

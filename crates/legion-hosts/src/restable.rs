@@ -27,14 +27,26 @@
 //! increasing order, so a grant appends. A *dead* reservation (cancelled,
 //! lapsed or released) shrinks to its serial, its window end and its
 //! fate, which is all `check`, `consume`, `cancel` and `compact` read of
-//! it. Admission, `held_at` and `sweep` walk only the live list, and a
-//! watermark — the earliest instant any live entry can lapse — lets a
-//! sweep with nothing due return without walking at all.
+//! it. `sweep` walks only the live list, and a watermark — the earliest
+//! instant any live entry can lapse — lets a sweep with nothing due
+//! return without walking at all.
+//!
+//! Admission and `held_at` walk no entry. The table keeps what its live
+//! entries hold (how many, how many unshared, their CPU and memory) as a
+//! running total and per window edge. The entries overlapping a
+//! half-open window `[s, e)` are all of them, less those that end by `s`,
+//! less those that start at or after `e`; the entries covering an
+//! instant `t` are all of them, less those that start after `t`, less
+//! those that end by `t`. Each excluded set is one range of edges, so a
+//! verdict costs the distinct instants outside the window, not the
+//! entries inside it.
 
 use legion_core::{
     LegionError, Loid, ReservationRequest, ReservationStatus, ReservationToken, SimTime,
     TokenMinter,
 };
+use std::collections::BTreeMap;
+use std::ops::{Bound, RangeBounds};
 
 /// Capacity the table admits against.
 #[derive(Debug, Clone, Copy)]
@@ -64,10 +76,6 @@ struct Entry {
 }
 
 impl Entry {
-    fn overlaps(&self, start: SimTime, end: SimTime) -> bool {
-        self.token.start < end && start < self.token.end()
-    }
-
     /// The first instant at which a sweep expires this entry: its
     /// confirmation deadline (or window end, if sooner) while it awaits
     /// confirmation, its window end once confirmed or consumed.
@@ -111,6 +119,55 @@ fn bury(dead: &mut Vec<Dead>, d: Dead) {
 /// The watermark of a table with no live entries.
 const NEVER: SimTime = SimTime(u64::MAX);
 
+/// What a set of live entries holds.
+#[derive(Debug, Clone, Copy, Default)]
+struct Held {
+    count: u32,
+    unshared: u32,
+    /// CPU-centis and MB demanded, unshared entries included.
+    cpu: u64,
+    mem: u64,
+}
+
+impl Held {
+    fn of(token: &ReservationToken) -> Held {
+        Held {
+            count: 1,
+            unshared: u32::from(!token.rtype.share),
+            cpu: token.cpu_centis.into(),
+            mem: token.memory_mb.into(),
+        }
+    }
+
+    fn plus(self, o: Held) -> Held {
+        Held {
+            count: self.count + o.count,
+            unshared: self.unshared + o.unshared,
+            cpu: self.cpu + o.cpu,
+            mem: self.mem + o.mem,
+        }
+    }
+
+    fn minus(self, o: Held) -> Held {
+        Held {
+            count: self.count - o.count,
+            unshared: self.unshared - o.unshared,
+            cpu: self.cpu - o.cpu,
+            mem: self.mem - o.mem,
+        }
+    }
+}
+
+/// A window edge: the key of the held sums. Every end sorts before every
+/// start, so "ends by an instant" and "starts at or after one" are each
+/// one range of the map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Edge {
+    /// A window's end, and whether the window is empty (start = end).
+    End(SimTime, bool),
+    Start(SimTime),
+}
+
 /// The reservation table: mints, admits, confirms, expires.
 #[derive(Debug)]
 pub struct ReservationTable {
@@ -120,6 +177,10 @@ pub struct ReservationTable {
     /// Entries that hold resources, in serial order. A table with none
     /// holds no allocation.
     live: Vec<Entry>,
+    /// What the live entries hold, in total and per window edge: each
+    /// live entry counts once at its start and once at its end.
+    held: Held,
+    edges: BTreeMap<Edge, Held>,
     /// Cancelled, lapsed and released reservations, in serial order.
     dead: Vec<Dead>,
     /// No live entry lapses before this instant.
@@ -134,6 +195,8 @@ impl ReservationTable {
             capacity,
             minter: TokenMinter::new(host, secret),
             live: Vec::new(),
+            held: Held::default(),
+            edges: BTreeMap::new(),
             dead: Vec::new(),
             next_lapse: NEVER,
         }
@@ -167,19 +230,15 @@ impl ReservationTable {
             });
         }
 
-        let mut cpu_held: u64 = 0;
-        let mut mem_held: u64 = 0;
-        for e in self.live.iter().filter(|e| e.overlaps(start, end)) {
-            if !e.token.rtype.share || !req.rtype.share {
-                // Either side unshared ⇒ exclusive conflict.
-                return Err(LegionError::ReservationDenied {
-                    host,
-                    reason: "window conflicts with an exclusive reservation".into(),
-                });
-            }
-            cpu_held += e.token.cpu_centis as u64;
-            mem_held += e.token.memory_mb as u64;
+        let overlap = self.overlapping(start, end);
+        if overlap.unshared > 0 || (overlap.count > 0 && !req.rtype.share) {
+            // Either side unshared ⇒ exclusive conflict.
+            return Err(LegionError::ReservationDenied {
+                host,
+                reason: "window conflicts with an exclusive reservation".into(),
+            });
         }
+        let (cpu_held, mem_held) = (overlap.cpu, overlap.mem);
         if cpu_held + cpu as u64 > self.capacity.cpu_centis as u64
             || mem_held + mem as u64 > self.capacity.memory_mb as u64
         {
@@ -202,6 +261,7 @@ impl ReservationTable {
         let entry = Entry { token: token.clone(), state: EntryState::Pending };
         self.next_lapse = self.next_lapse.min(entry.lapses_at());
         self.live.push(entry);
+        self.tally(&token, Held::plus);
         Ok(token)
     }
 
@@ -303,7 +363,7 @@ impl ReservationTable {
         let n = live.len();
         self.dead.extend(live.iter().map(|e| Dead::lapsed(&e.token)));
         self.dead.sort_unstable_by_key(|d| d.serial);
-        self.next_lapse = NEVER;
+        self.free_if_idle();
         n
     }
 
@@ -326,8 +386,11 @@ impl ReservationTable {
             false
         });
         self.next_lapse = next_lapse;
-        self.free_if_idle();
+        let idle = self.free_if_idle();
         for token in &expired {
+            if !idle {
+                self.tally(token, Held::minus);
+            }
             bury(&mut self.dead, Dead::lapsed(token));
         }
         expired
@@ -335,18 +398,46 @@ impl ReservationTable {
 
     /// (cpu-centis, MB) held by reservations whose window covers `now`.
     pub fn held_at(&self, now: SimTime) -> (u32, u32) {
-        let mut cpu = 0u32;
-        let mut mem = 0u32;
-        for e in self.live.iter().filter(|e| e.token.covers(now)) {
-            if e.token.rtype.share {
-                cpu += e.token.cpu_centis;
-                mem += e.token.memory_mb;
-            } else {
-                cpu = self.capacity.cpu_centis;
-                mem = self.capacity.memory_mb;
+        let later = self.held_in((Bound::Excluded(Edge::Start(now)), Bound::Unbounded));
+        let covering = self.held.minus(later).minus(self.held_in(..=Edge::End(now, true)));
+        let (cap_cpu, cap_mem) = (self.capacity.cpu_centis, self.capacity.memory_mb);
+        if covering.unshared > 0 {
+            return (cap_cpu, cap_mem);
+        }
+        // Admission keeps what covers an instant within capacity, so the
+        // narrowing below never truncates.
+        (covering.cpu.min(cap_cpu.into()) as u32, covering.mem.min(cap_mem.into()) as u32)
+    }
+
+    /// What the live entries overlapping the half-open window
+    /// `[start, end)` hold: all of them, less those that end by `start`,
+    /// less those that start at or after `end`. An empty entry at an
+    /// empty window's instant is in both excluded sets; the first range
+    /// stops short of it, so it is taken out once.
+    fn overlapping(&self, start: SimTime, end: SimTime) -> Held {
+        let ended = self.held_in(..=Edge::End(start, start < end));
+        self.held.minus(ended).minus(self.held_in(Edge::Start(end)..))
+    }
+
+    /// What the live entries with an edge in `edges` hold.
+    fn held_in(&self, edges: impl RangeBounds<Edge>) -> Held {
+        self.edges.range(edges).fold(Held::default(), |sum, (_, &h)| sum.plus(h))
+    }
+
+    /// Adds (`Held::plus`) or takes away (`Held::minus`) a live token's
+    /// holding to the total and at both of its window's edges. An edge
+    /// that no live entry uses any more leaves the map.
+    fn tally(&mut self, token: &ReservationToken, op: fn(Held, Held) -> Held) {
+        let held = Held::of(token);
+        self.held = op(self.held, held);
+        let end = token.end();
+        for edge in [Edge::Start(token.start), Edge::End(end, token.start == end)] {
+            let at = self.edges.entry(edge).or_default();
+            *at = op(*at, held);
+            if at.count == 0 {
+                self.edges.remove(&edge);
             }
         }
-        (cpu.min(self.capacity.cpu_centis), mem.min(self.capacity.memory_mb))
     }
 
     /// Number of live (holding) entries.
@@ -379,8 +470,22 @@ impl ReservationTable {
         }
     }
 
+    /// Finds a live serial by galloping back from the newest entry: the
+    /// tokens presented are mostly recent grants, whose entries the grant
+    /// just wrote, so the search touches few cold lines.
     fn live_index(&self, serial: u64) -> Result<usize, usize> {
-        self.live.binary_search_by_key(&serial, |e| e.token.serial)
+        let mut hi = self.live.len();
+        let mut step = 1;
+        while hi > 0 {
+            let lo = hi.saturating_sub(step);
+            if self.live[lo].token.serial <= serial {
+                let found = self.live[lo..hi].binary_search_by_key(&serial, |e| e.token.serial);
+                return found.map(|i| lo + i).map_err(|i| lo + i);
+            }
+            hi = lo;
+            step *= 2;
+        }
+        Err(0)
     }
 
     fn dead_index(&self, serial: u64) -> Result<usize, usize> {
@@ -391,16 +496,25 @@ impl ReservationTable {
     /// bound on what is left, so it needs no update.
     fn retire(&mut self, i: usize, cancelled: bool) {
         let e = self.live.remove(i);
-        self.free_if_idle();
+        if !self.free_if_idle() {
+            self.tally(&e.token, Held::minus);
+        }
         bury(&mut self.dead, Dead { cancelled, ..Dead::lapsed(&e.token) });
     }
 
-    /// An emptied live list frees its buffer and has nothing to lapse.
-    fn free_if_idle(&mut self) {
-        if self.live.is_empty() {
+    /// An emptied live list frees its buffer, holds nothing and has
+    /// nothing to lapse. Its held sums are reset rather than counted
+    /// down, because an emptied `BTreeMap` keeps its root node. Returns
+    /// whether the table is idle.
+    fn free_if_idle(&mut self) -> bool {
+        let idle = self.live.is_empty();
+        if idle {
             self.live = Vec::new();
+            self.held = Held::default();
+            self.edges = BTreeMap::new();
             self.next_lapse = NEVER;
         }
+        idle
     }
 
     /// Verifies a token without touching state.
@@ -632,6 +746,94 @@ mod tests {
         // Past the window end: expired, and nothing held any more.
         assert_eq!(t.sweep(SimTime::from_secs(101)), vec![tok]);
         assert_eq!(t.held_at(SimTime::from_secs(50)), (0, 0));
+    }
+
+    /// The admission verdict of a walk over `live`, with the table's
+    /// refusal texts, for a request whose demand fits the machine.
+    fn scan_verdict(
+        live: &[ReservationToken],
+        share: bool,
+        (cpu, mem): (u32, u32),
+        (start, end): (SimTime, SimTime),
+    ) -> Result<(), String> {
+        let (mut cpu_held, mut mem_held) = (0, 0);
+        for tok in live.iter().filter(|tok| tok.start < end && start < tok.end()) {
+            if !tok.rtype.share || !share {
+                return Err("window conflicts with an exclusive reservation".into());
+            }
+            cpu_held += tok.cpu_centis;
+            mem_held += tok.memory_mb;
+        }
+        if cpu_held + cpu > 400 || mem_held + mem > 1024 {
+            return Err(format!(
+                "insufficient shared capacity: {cpu_held}/400 cpu-centis, {mem_held}/1024 MB held"
+            ));
+        }
+        Ok(())
+    }
+
+    /// What a walk over `live` finds held at `now`.
+    fn scan_held_at(live: &[ReservationToken], now: SimTime) -> (u32, u32) {
+        let covering: Vec<_> = live.iter().filter(|tok| tok.covers(now)).collect();
+        if covering.iter().any(|tok| !tok.rtype.share) {
+            return (400, 1024);
+        }
+        let cpu = covering.iter().map(|tok| tok.cpu_centis).sum();
+        (cpu, covering.iter().map(|tok| tok.memory_mb).sum())
+    }
+
+    #[test]
+    fn zero_length_windows_are_not_double_counted() {
+        // An empty window [t, t) overlaps a window only when t lies
+        // strictly inside it, and an empty request at t is in both of
+        // the excluded sets of an empty entry at t. Windows here meet at
+        // 100 s and 150 s, beside empty ones at those very instants.
+        let mut t = table(400, 1024);
+        let mut live: Vec<ReservationToken> = Vec::new();
+        let requests = [
+            (true, 50, 50),
+            (true, 100, 50),
+            (true, 100, 0),
+            (false, 100, 0),
+            (true, 100, 0),
+            (false, 100, 0),
+            (true, 80, 40),
+            (true, 125, 0),
+            (false, 150, 0),
+            (true, 150, 0),
+            (false, 150, 10),
+            (true, 99, 2),
+            (true, 0, 200),
+            (false, 100, 0),
+            (true, 140, 0),
+            (true, 140, 0),
+            (true, 130, 20),
+        ];
+        for (share, start, len) in requests {
+            let mut r = req(ReservationType { share, reuse: false }, 150, 300)
+                .starting_at(SimTime::from_secs(start));
+            r.duration = SimDuration::from_secs(len);
+            let demand = if share { (150, 300) } else { (400, 1024) };
+            let window = (r.start.unwrap(), r.start.unwrap() + r.duration);
+            let expected = scan_verdict(&live, share, demand, window);
+            let got = t.make(&r, SimTime::ZERO);
+            match &got {
+                Ok(tok) => live.push(tok.clone()),
+                Err(LegionError::ReservationDenied { reason, .. }) => {
+                    assert_eq!(expected.as_ref().err(), Some(reason), "{share} [{start}, +{len})");
+                }
+                Err(e) => panic!("unexpected {e}"),
+            }
+            assert_eq!(got.is_ok(), expected.is_ok(), "{share} [{start}, +{len})");
+            for probe in [0, 50, 99, 100, 101, 125, 140, 149, 150, 151, 160, 200] {
+                let at = SimTime::from_secs(probe);
+                assert_eq!(t.held_at(at), scan_held_at(&live, at), "held at {probe} s");
+            }
+        }
+        // Every empty unshared request was admitted: nothing lay strictly
+        // around its instant, and the empty entries beside it do not count.
+        assert_eq!(live.iter().filter(|tok| !tok.rtype.share && tok.duration.0 == 0).count(), 4);
+        assert_eq!(t.live_count(), live.len());
     }
 
     #[test]

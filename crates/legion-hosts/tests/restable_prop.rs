@@ -169,72 +169,98 @@ proptest! {
     /// the same number of entries remembered.
     #[test]
     fn agrees_with_reference_table(steps in proptest::collection::vec(arb_step(), 1..600)) {
-        let host = Loid::synthetic(LoidKind::Host, 1);
-        let cap = TableCapacity { cpu_centis: CAP_CPU, memory_mb: CAP_MEM };
-        let mut table = ReservationTable::new(host, 11, cap);
-        let mut reference = ReferenceTable::new(host, 11, cap);
-        let mut now = SimTime::ZERO;
-        let mut granted: Vec<ReservationToken> = Vec::new();
-        // The i-th most recent grant (mod #granted).
-        let pick = |granted: &[ReservationToken], i: usize| {
-            granted[granted.len() - 1 - i % granted.len()].clone()
-        };
+        agree_with_reference(steps)?;
+    }
+}
 
-        for step in steps {
-            match step {
-                Step::Make { share, reuse, cpu, mem, start, dur, timeout } => {
-                    let mut req = ReservationRequest::instantaneous(
-                        Loid::synthetic(LoidKind::Class, 1),
-                        Loid::synthetic(LoidKind::Vault, 1),
-                        SimDuration::from_secs(dur * TICK),
-                    )
-                    .with_type(ReservationType { share, reuse })
-                    .with_demand(cpu, mem);
-                    req.timeout = (timeout > 0).then(|| SimDuration::from_secs(timeout * TICK));
-                    if start > 0 {
-                        req = req.starting_at(now + SimDuration::from_secs(start * TICK));
-                    }
-                    let got = table.make(&req, now);
-                    prop_assert_eq!(&got, &reference.make(&req, now), "make at {}", now);
-                    granted.extend(got);
-                }
-                Step::Consume(i) if !granted.is_empty() => {
-                    let tok = pick(&granted, i);
-                    prop_assert_eq!(table.consume(&tok, now), reference.consume(&tok, now));
-                }
-                Step::Cancel(i) if !granted.is_empty() => {
-                    let tok = pick(&granted, i);
-                    prop_assert_eq!(table.cancel(&tok), reference.cancel(&tok));
-                }
-                Step::Check(i) if !granted.is_empty() => {
-                    let tok = pick(&granted, i);
-                    prop_assert_eq!(table.check(&tok, now), reference.check(&tok, now));
-                }
-                Step::Release(i) if !granted.is_empty() => {
-                    let serial = pick(&granted, i).serial;
-                    table.release(serial);
-                    reference.release(serial);
-                }
-                Step::Consume(_) | Step::Cancel(_) | Step::Check(_) | Step::Release(_) => {}
-                Step::ExpireAll => prop_assert_eq!(table.expire_all(), reference.expire_all()),
-                Step::Sweep => prop_assert_eq!(table.sweep(now), reference.sweep(now)),
-                Step::Compact(back) => {
-                    let horizon = SimTime(now.0.saturating_sub(back * TICK * 1_000_000));
-                    table.compact(horizon);
-                    reference.compact(horizon);
-                }
-                Step::Advance(secs) => now += SimDuration::from_secs(secs),
-            }
+proptest! {
+    // Each case makes 200 or more grants before its random steps, and the
+    // reference walks all of them at every probe.
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-            prop_assert_eq!(table.live_count(), reference.live_count(), "live at {}", now);
-            prop_assert_eq!(table.total_granted(), reference.total_granted(), "total at {}", now);
-            let first_probe = SimTime(now.0.saturating_sub(2 * TICK * 1_000_000));
-            for k in 0..12u64 {
-                let t = first_probe + SimDuration::from_secs(k * TICK);
-                prop_assert_eq!(table.held_at(t), reference.held_at(t), "held at {}", t);
+    /// The same agreement under a wider generator: each run first grants
+    /// 200 or more long zero-demand shared windows, then mixes empty
+    /// windows, zero demand and demand near capacity, so refusals that
+    /// print the held sums are common.
+    #[test]
+    fn agrees_with_reference_table_on_wide_windows(
+        fillers in proptest::collection::vec(arb_filler(), 200..260),
+        steps in proptest::collection::vec(arb_wide_step(), 1..300),
+    ) {
+        agree_with_reference(fillers.into_iter().chain(steps).collect())?;
+    }
+}
+
+/// Drives the table and the reference table with `steps` and requires
+/// the same answer to every call: same tokens, statuses, errors, expiries
+/// and holdings, and the same number of entries remembered.
+fn agree_with_reference(steps: Vec<Step>) -> Result<(), TestCaseError> {
+    let host = Loid::synthetic(LoidKind::Host, 1);
+    let cap = TableCapacity { cpu_centis: CAP_CPU, memory_mb: CAP_MEM };
+    let mut table = ReservationTable::new(host, 11, cap);
+    let mut reference = ReferenceTable::new(host, 11, cap);
+    let mut now = SimTime::ZERO;
+    let mut granted: Vec<ReservationToken> = Vec::new();
+    // The i-th most recent grant (mod #granted).
+    let pick = |granted: &[ReservationToken], i: usize| {
+        granted[granted.len() - 1 - i % granted.len()].clone()
+    };
+
+    for step in steps {
+        match step {
+            Step::Make { share, reuse, cpu, mem, start, dur, timeout } => {
+                let mut req = ReservationRequest::instantaneous(
+                    Loid::synthetic(LoidKind::Class, 1),
+                    Loid::synthetic(LoidKind::Vault, 1),
+                    SimDuration::from_secs(dur * TICK),
+                )
+                .with_type(ReservationType { share, reuse })
+                .with_demand(cpu, mem);
+                req.timeout = (timeout > 0).then(|| SimDuration::from_secs(timeout * TICK));
+                if start > 0 {
+                    req = req.starting_at(now + SimDuration::from_secs(start * TICK));
+                }
+                let got = table.make(&req, now);
+                prop_assert_eq!(&got, &reference.make(&req, now), "make at {}", now);
+                granted.extend(got);
             }
+            Step::Consume(i) if !granted.is_empty() => {
+                let tok = pick(&granted, i);
+                prop_assert_eq!(table.consume(&tok, now), reference.consume(&tok, now));
+            }
+            Step::Cancel(i) if !granted.is_empty() => {
+                let tok = pick(&granted, i);
+                prop_assert_eq!(table.cancel(&tok), reference.cancel(&tok));
+            }
+            Step::Check(i) if !granted.is_empty() => {
+                let tok = pick(&granted, i);
+                prop_assert_eq!(table.check(&tok, now), reference.check(&tok, now));
+            }
+            Step::Release(i) if !granted.is_empty() => {
+                let serial = pick(&granted, i).serial;
+                table.release(serial);
+                reference.release(serial);
+            }
+            Step::Consume(_) | Step::Cancel(_) | Step::Check(_) | Step::Release(_) => {}
+            Step::ExpireAll => prop_assert_eq!(table.expire_all(), reference.expire_all()),
+            Step::Sweep => prop_assert_eq!(table.sweep(now), reference.sweep(now)),
+            Step::Compact(back) => {
+                let horizon = SimTime(now.0.saturating_sub(back * TICK * 1_000_000));
+                table.compact(horizon);
+                reference.compact(horizon);
+            }
+            Step::Advance(secs) => now += SimDuration::from_secs(secs),
+        }
+
+        prop_assert_eq!(table.live_count(), reference.live_count(), "live at {}", now);
+        prop_assert_eq!(table.total_granted(), reference.total_granted(), "total at {}", now);
+        let first_probe = SimTime(now.0.saturating_sub(2 * TICK * 1_000_000));
+        for k in 0..12u64 {
+            let t = first_probe + SimDuration::from_secs(k * TICK);
+            prop_assert_eq!(table.held_at(t), reference.held_at(t), "held at {}", t);
         }
     }
+    Ok(())
 }
 
 /// Seconds per unit of window, deadline and horizon in [`Step`].
@@ -298,6 +324,44 @@ fn arb_step() -> impl Strategy<Value = Step> {
             _ => Step::Sweep,
         }),
     ]
+}
+
+/// A long zero-demand shared window, the kind a busy host carries by
+/// the hundred: it never refuses another shared request.
+fn arb_filler() -> impl Strategy<Value = Step> {
+    (any::<bool>(), 0u64..3, 1_000u64..2_000).prop_map(|(reuse, start, dur)| Step::Make {
+        share: true,
+        reuse,
+        cpu: 0,
+        mem: 0,
+        start,
+        dur,
+        timeout: 0,
+    })
+}
+
+/// `arb_step` with requests that may be empty (`dur = 0`), ask for
+/// nothing, or ask for most of the machine.
+fn arb_wide_step() -> impl Strategy<Value = Step> {
+    let make = (
+        (0u8..4).prop_map(|n| n > 0),
+        any::<bool>(),
+        prop_oneof![Just(0u32), 1u32..CAP_CPU, (CAP_CPU * 3 / 4)..CAP_CPU + 1],
+        prop_oneof![Just(0u32), 1u32..CAP_MEM, (CAP_MEM * 3 / 4)..CAP_MEM + 1],
+        0u64..4,
+        0u64..12,
+        0u64..4,
+    )
+        .prop_map(|(share, reuse, cpu, mem, start, dur, timeout)| Step::Make {
+            share,
+            reuse,
+            cpu,
+            mem,
+            start,
+            dur,
+            timeout,
+        });
+    prop_oneof![make.clone(), make, arb_step()]
 }
 
 /// The reservation table as one map of every remembered token and its
