@@ -143,9 +143,9 @@ impl Fabric {
     /// Takes a consistent copy-on-write snapshot of the host and
     /// location registries. A co-allocation attempt resolves every
     /// mapping against one snapshot — one `Arc` clone per attempt
-    /// instead of a registry read-lock per mapping — and worker threads
-    /// share it freely. Hosts registered or removed after the snapshot
-    /// are invisible to it, exactly like a lookup that raced the change.
+    /// instead of a registry read-lock per mapping. Hosts registered or
+    /// removed after the snapshot are invisible to it, exactly like a
+    /// lookup that raced the change.
     pub fn registry(&self) -> RegistrySnapshot {
         RegistrySnapshot {
             hosts: Arc::clone(&self.hosts.read()),
@@ -187,32 +187,26 @@ impl Fabric {
     /// any step"), charges latency to the ledger, and counts the message.
     pub fn link(&self, from: Loid, to: Loid) -> Result<SimDuration, LegionError> {
         let (a, b) = (self.domain_of(from), self.domain_of(to));
-        self.link_between(a, b, None, from, to)
+        self.link_between(a, b, from, to)
     }
 
     /// [`Fabric::link`] resolving domains from a [`RegistrySnapshot`]
-    /// and, when `rng` is given, drawing any loss decision from the
-    /// caller's stream instead of the fabric's shared one. Parallel
-    /// reservation workers pass their per-worker `DetRng` stream so the
-    /// loss sequence each mapping sees is a function of the master seed
-    /// alone, not of thread interleaving; `None` preserves the serial
-    /// path's shared stream bit-for-bit.
+    /// instead of the fabric's location registry. Loss is drawn from the
+    /// same shared stream, so interleaving the two draws one sequence.
     pub fn link_via(
         &self,
         registry: &RegistrySnapshot,
         from: Loid,
         to: Loid,
-        rng: Option<&mut SmallRng>,
     ) -> Result<SimDuration, LegionError> {
         let (a, b) = (registry.domain_of(from), registry.domain_of(to));
-        self.link_between(a, b, rng, from, to)
+        self.link_between(a, b, from, to)
     }
 
     fn link_between(
         &self,
         a: DomainId,
         b: DomainId,
-        rng: Option<&mut SmallRng>,
         from: Loid,
         to: Loid,
     ) -> Result<SimDuration, LegionError> {
@@ -220,16 +214,10 @@ impl Fabric {
         MetricsLedger::bump(&self.metrics.messages);
         let p = topo.drop_prob(a, b);
         // The draw happens only on lossy links, so lossless runs consume
-        // nothing from either stream regardless of which one is wired.
-        if p > 0.0 {
-            let draw = match rng {
-                Some(r) => r.gen::<f64>(),
-                None => self.link_rng.lock().gen::<f64>(),
-            };
-            if draw < p {
-                MetricsLedger::bump(&self.metrics.messages_dropped);
-                return Err(LegionError::NetworkFailure { from, to });
-            }
+        // nothing from the stream.
+        if p > 0.0 && self.link_rng.lock().gen::<f64>() < p {
+            MetricsLedger::bump(&self.metrics.messages_dropped);
+            return Err(LegionError::NetworkFailure { from, to });
         }
         let lat = topo.latency(a, b);
         drop(topo);
@@ -242,9 +230,9 @@ impl Fabric {
             // The wait is an event: a sim task parks until the wake at
             // `now + lat` fires, so the episode spends the wire latency
             // in virtual time while other tasks run. Non-task callers
-            // (control-thread closures, fan-out workers) and fabrics with
-            // no scheduler attached cannot park and skip the wait; their
-            // latency is still charged above.
+            // (control-thread closures) and fabrics with no scheduler
+            // attached cannot park and skip the wait; their latency is
+            // still charged above.
             if let Some(sim) = self.sim.read().as_ref() {
                 if sim.in_task() {
                     sim.sleep(lat);
@@ -311,14 +299,14 @@ impl Fabric {
     /// fabric's clock). While attached, [`Fabric::wait`] parks the
     /// calling sim task instead of advancing the clock directly, and —
     /// with [`Fabric::set_wire_emulation`] on — a sim task's metered
-    /// messages park it for their link latency. The scoped-thread path
-    /// is unaffected for fabrics that never attach — the config switch
+    /// messages park it for their link latency. The thread path is
+    /// unaffected for fabrics that never attach — the config switch
     /// is simply whether a harness calls this.
     pub fn attach_sim(&self, sim: crate::sim::SimHandle) {
         *self.sim.write() = Some(sim);
     }
 
-    /// Detaches the scheduler, restoring pure scoped-thread behaviour.
+    /// Detaches the scheduler, restoring pure thread-path behaviour.
     pub fn detach_sim(&self) {
         *self.sim.write() = None;
     }
@@ -503,8 +491,7 @@ impl Fabric {
 
 /// A consistent, lock-free view of the host and location registries,
 /// taken once per reservation attempt via [`Fabric::registry`]. Cloning
-/// is two `Arc` bumps; lookups never touch a fabric lock, so a fan-out
-/// of worker threads resolving mappings concurrently contend on nothing.
+/// is two `Arc` bumps; lookups never touch a fabric lock.
 #[derive(Clone)]
 pub struct RegistrySnapshot {
     hosts: Arc<BTreeMap<Loid, Arc<dyn HostObject>>>,
@@ -652,33 +639,9 @@ mod tests {
     }
 
     #[test]
-    fn link_via_caller_stream_is_deterministic_and_independent() {
-        let run = |seed: u64| -> Vec<bool> {
-            let f = Fabric::new(
-                DomainTopology::uniform(
-                    2,
-                    SimDuration::from_micros(1),
-                    SimDuration::from_micros(1),
-                ),
-                seed,
-            );
-            f.with_topology(|t| t.set_inter_domain_drop_prob(0.3));
-            let a = Loid::synthetic(LoidKind::Service, 1);
-            let b = Loid::synthetic(LoidKind::Service, 2);
-            f.place(a, DomainId(0));
-            f.place(b, DomainId(1));
-            let snap = f.registry();
-            let mut rng = f.rng().stream_indexed2("worker", 0, 0);
-            (0..50).map(|_| f.link_via(&snap, a, b, Some(&mut rng)).is_ok()).collect()
-        };
-        assert_eq!(run(11), run(11));
-        assert_ne!(run(11), run(12));
-    }
-
-    #[test]
-    fn link_via_without_stream_matches_link() {
-        // With rng = None, link_via consumes the same shared stream as
-        // link — interleaving the two draws one sequence.
+    fn link_via_matches_link() {
+        // link_via consumes the same shared stream as link —
+        // interleaving the two draws one sequence.
         let f = Fabric::new(
             DomainTopology::uniform(2, SimDuration::from_micros(1), SimDuration::from_micros(1)),
             11,
@@ -694,7 +657,7 @@ mod tests {
                 if i % 2 == 0 {
                     f.link(a, b).is_ok()
                 } else {
-                    f.link_via(&snap, a, b, None).is_ok()
+                    f.link_via(&snap, a, b).is_ok()
                 }
             })
             .collect();

@@ -43,19 +43,6 @@ impl DetRng {
         }
         SmallRng::seed_from_u64(h)
     }
-
-    /// Derives a stream for a purpose label and two indices — e.g. a
-    /// per-(attempt, worker) stream for a parallel fan-out, so every
-    /// worker's draws are independent of worker count and join order.
-    pub fn stream_indexed2(&self, label: &str, a: u64, b: u64) -> SmallRng {
-        let mut h = self.seed
-            ^ mix64(a.wrapping_add(0x9E37_79B9))
-            ^ mix64(b.wrapping_add(0x85EB_CA6B).rotate_left(17));
-        for byte in label.bytes() {
-            h = mix64(h ^ byte as u64);
-        }
-        SmallRng::seed_from_u64(h)
-    }
 }
 
 #[cfg(test)]
@@ -92,15 +79,5 @@ mod tests {
         let a: u64 = f.stream_indexed("host-load", 0).gen();
         let b: u64 = f.stream_indexed("host-load", 1).gen();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn indexed2_streams_vary_in_both_axes_and_replay() {
-        let f = DetRng::new(7);
-        let base: u64 = f.stream_indexed2("fanout", 3, 0).gen();
-        assert_eq!(base, f.stream_indexed2("fanout", 3, 0).gen());
-        assert_ne!(base, f.stream_indexed2("fanout", 4, 0).gen());
-        assert_ne!(base, f.stream_indexed2("fanout", 3, 1).gen());
-        assert_ne!(base, f.stream_indexed2("other", 3, 0).gen());
     }
 }

@@ -407,10 +407,9 @@ impl FrontDoor {
     }
 
     /// The coalescing batcher: admits every submission in order, then
-    /// drains the admitted permits through one
-    /// [`ScheduleDriver::place_many`] batch over `workers` threads.
-    /// Results come back in submission order — rejections keep their
-    /// slot as typed [`IngressError::Rejected`] values, and every
+    /// runs each admitted one through [`FrontDoor::place`], also in
+    /// order. Results come back in submission order — rejections keep
+    /// their slot as typed [`IngressError::Rejected`] values, and every
     /// admitted permit is concluded from its placement outcome exactly
     /// as [`FrontDoor::submit`] would.
     ///
@@ -419,35 +418,24 @@ impl FrontDoor {
     /// against one Collection epoch, so N same-class requests cost one
     /// query (or one delta patch) plus N−1 cache hits rather than N
     /// full queries.
+    ///
+    /// `_workers` is ignored: placements run one after another, and
+    /// their overlap lives in virtual time. The argument stays only so
+    /// existing callers keep compiling.
     pub fn submit_many(
         &self,
         submissions: &[(TenantId, PlacementRequest)],
-        workers: usize,
+        _workers: usize,
     ) -> Vec<Result<legion_schedulers::DriverReport, IngressError>> {
-        let mut out: Vec<Option<Result<legion_schedulers::DriverReport, IngressError>>> =
-            (0..submissions.len()).map(|_| None).collect();
-        let mut permits: Vec<(usize, Permit)> = Vec::new();
-        let mut requests: Vec<PlacementRequest> = Vec::new();
-        for (i, (tenant, request)) in submissions.iter().enumerate() {
-            match self.admit(*tenant) {
-                Ok(permit) => {
-                    permits.push((i, permit));
-                    requests.push(request.clone());
-                }
-                Err(rejected) => out[i] = Some(Err(rejected.into())),
-            }
-        }
-        let results = self.driver.place_many(&requests, &self.ctx, workers);
-        for ((i, permit), result) in permits.into_iter().zip(results) {
-            if let Ok(report) = &result {
-                if let Some(ep) = report.episode {
-                    self.state.lock().episodes.insert(ep, permit.tenant);
-                }
-            }
-            self.conclude(permit, result.is_ok());
-            out[i] = Some(result.map_err(IngressError::Placement));
-        }
-        out.into_iter().map(|slot| slot.expect("every submission answered")).collect()
+        let admitted: Vec<Result<Permit, Rejected>> =
+            submissions.iter().map(|(tenant, _)| self.admit(*tenant)).collect();
+        admitted
+            .into_iter()
+            .zip(submissions)
+            .map(|(admitted, (_, request))| {
+                self.place(admitted?, request).map_err(IngressError::Placement)
+            })
+            .collect()
     }
 
     // --- grants -----------------------------------------------------------

@@ -36,13 +36,13 @@
 //! A served `Arc<Vec<Candidate>>` is an immutable snapshot. The patch
 //! goes through [`Arc::make_mut`]: in place — O(changed · log n), no
 //! copy — when no past serve is still held, and onto one copy of the
-//! list when a `place_many` worker still holds the set it was served.
+//! list when a caller still holds the set it was served.
 //!
 //! Concurrency: lookups share a read lock; a stale entry is refreshed
-//! by whichever worker reaches the entry's write lock first while the
-//! rest wait and then serve the refreshed set. Under `place_many` the
-//! workers therefore share one cache generation per churn event
-//! instead of racing N identical full queries.
+//! by whichever thread reaches the entry's write lock first while the
+//! rest wait and then serve the refreshed set, so threads sharing one
+//! context share one cache generation per churn event instead of racing
+//! N identical full queries.
 
 use crate::traits::Candidate;
 use legion_collection::{parse_query, Collection, CollectionEpoch, DeltaBatch, DeltaOp, Query};
@@ -144,7 +144,7 @@ impl CandidateCache {
             Arc::new(CacheEntry { query: Arc::new(parse_query(text)?), state: RwLock::new(None) });
         let mut entries = self.entries.write();
         // Only a new text at the cap flushes the map, not one a racing
-        // worker inserted meanwhile.
+        // thread inserted meanwhile.
         if entries.len() >= MAX_ENTRIES && !entries.contains_key(text) {
             entries.clear();
         }
@@ -188,7 +188,7 @@ impl CandidateCache {
         }
 
         let mut state = entry.state.write();
-        // Another worker may have refreshed while we waited for the
+        // Another thread may have refreshed while we waited for the
         // write lock; revalidate before doing any work.
         let epoch = collection.epoch();
         if let Some(set) = state.as_mut() {

@@ -164,50 +164,4 @@ impl ScheduleDriver {
         episode.end_with(SpanOutcome::from_error(&last_err));
         Err(last_err)
     }
-
-    /// Runs the wrapper loop for every request, pipelining up to
-    /// `workers` placements concurrently, and returns one result per
-    /// request **in request order**.
-    ///
-    /// All workers share the one [`SchedCtx`] — and with it the
-    /// compiled-query cache and the Collection's snapshot storage, so N
-    /// placements of the same shape compile their Collection queries
-    /// once, not N times. Each placement still runs as its own trace
-    /// episode: episode context lives in a per-thread stack, so
-    /// concurrent episodes never interleave their span trees (the
-    /// property `tests/trace_pipeline.rs` pins).
-    ///
-    /// `workers <= 1` degenerates to a serial loop over
-    /// [`ScheduleDriver::place`]. Worker threads pull requests from a
-    /// shared cursor, so a slow co-allocation on one thread never
-    /// blocks the remaining requests behind it.
-    pub fn place_many(
-        &self,
-        requests: &[PlacementRequest],
-        ctx: &SchedCtx,
-        workers: usize,
-    ) -> Vec<Result<DriverReport, LegionError>> {
-        let workers = workers.max(1).min(requests.len().max(1));
-        if workers <= 1 {
-            return requests.iter().map(|r| self.place(r, ctx)).collect();
-        }
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        // Disjoint per-index result slots: the cursor hands each index
-        // to exactly one worker, so result writes never contend on a
-        // shared lock — `OnceLock` just proves the single-writer claim
-        // to the borrow checker (and `set` would tell us if it broke).
-        let slots: Vec<std::sync::OnceLock<Result<DriverReport, LegionError>>> =
-            (0..requests.len()).map(|_| std::sync::OnceLock::new()).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(request) = requests.get(i) else { break };
-                    let res = self.place(request, ctx);
-                    slots[i].set(res).unwrap_or_else(|_| panic!("slot {i} written twice"));
-                });
-            }
-        });
-        slots.into_iter().map(|s| s.into_inner().expect("every request placed")).collect()
-    }
 }

@@ -20,7 +20,7 @@ pub struct SchedCtx {
     pub collection: Arc<Collection>,
     /// Per query text, the compiled query and its epoch-validated
     /// usable candidate pool (see [`crate::cache`]); shared by every
-    /// scheduler and `place_many` worker holding this context.
+    /// scheduler and thread holding this context.
     candidates: CandidateCache,
 }
 

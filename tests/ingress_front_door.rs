@@ -221,7 +221,7 @@ fn submit_many_preserves_order_and_concludes_every_permit() {
         (0..5).map(|_| (a, PlacementRequest::new().class(class, 1))).collect();
     subs.extend((0..2).map(|_| (b, PlacementRequest::new().class(class, 1))));
 
-    let results = door.submit_many(&subs, 4);
+    let results = door.submit_many(&subs, 1);
     assert_eq!(results.len(), 7);
     for (i, r) in results.iter().enumerate() {
         match (i, r) {
@@ -253,7 +253,7 @@ fn submit_many_matches_sequential_submits() {
         let subs: Vec<(TenantId, PlacementRequest)> =
             (0..6).map(|_| (tenant, PlacementRequest::new().class(class, 1))).collect();
         let results: Vec<_> = if batched {
-            door.submit_many(&subs, 4)
+            door.submit_many(&subs, 1)
         } else {
             subs.iter().map(|(t, r)| door.submit(*t, r)).collect()
         };

@@ -195,27 +195,19 @@ fn crash_expires_reservations_and_restart_reclaims_resources() {
     host.start_object(&fresh, &[ObjectSpec::new(class)], later).unwrap();
 }
 
-mod fanout_equivalence {
-    //! Fan-out width is an implementation knob, not a semantic one:
-    //! whatever width the Enactor reserves with, the classification in
-    //! the returned [`ScheduleFeedback`] and the set of granted tokens
-    //! must be exactly what the serial fill pass produces, and hosts —
-    //! the sole admission arbiters — must never over-commit capacity.
+mod fill_pass {
+    //! Hosts are the sole admission arbiters: whatever host picks a
+    //! schedule names, colliding ones included, the Enactor's fill pass
+    //! must never leave a host over-committed.
 
     use super::*;
-    use legion::schedule::ScheduleOutcome;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    /// One `make_reservations` run at `fanout` on a fresh testbed built
-    /// from `seed`. Returns what must be width-invariant: the outcome,
-    /// the granted tokens as (host index, host-local serial), and the
-    /// worst per-host multiplicity among the held reservations.
-    fn run_width(
-        seed: u64,
-        picks: &[usize],
-        fanout: usize,
-    ) -> (ScheduleOutcome, Vec<(usize, u64)>, usize) {
+    /// One `make_reservations` run on a fresh testbed built from `seed`.
+    /// Returns the worst per-host multiplicity among the held
+    /// reservations.
+    fn max_holds_per_host(seed: u64, picks: &[usize]) -> usize {
         let tb = Testbed::build(TestbedConfig::wide(2, 3, seed));
         // Full-CPU demand on single-CPU workstations: every host can
         // hold exactly one of these, so duplicate picks must fail.
@@ -228,46 +220,31 @@ mod fanout_equivalence {
                 Mapping::new(class, host.loid(), host.get_compatible_vaults()[0])
             })
             .collect();
-        let enactor = Enactor::with_config(
-            tb.fabric.clone(),
-            EnactorConfig { fanout, ..Default::default() },
-        );
+        let enactor = Enactor::new(tb.fabric.clone());
         let fb = enactor.make_reservations(&ScheduleRequestList::single(mappings));
 
         let mut per_host: HashMap<Loid, usize> = HashMap::new();
         for m in &fb.mappings {
             *per_host.entry(m.host).or_default() += 1;
         }
-        let host_index = |loid: Loid| {
-            tb.unix_hosts
-                .iter()
-                .position(|h| h.loid() == loid)
-                .expect("token names a testbed host")
-        };
-        let tokens: Vec<(usize, u64)> =
-            fb.reservations.iter().map(|tok| (host_index(tok.host), tok.serial)).collect();
-        (fb.outcome, tokens, per_host.values().copied().max().unwrap_or(0))
+        per_host.values().copied().max().unwrap_or(0)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Widths 1, 2 and 8 classify identically and never over-commit
-        /// a host, for arbitrary (possibly colliding) host picks.
+        /// The fill pass never over-commits a host, for arbitrary
+        /// (possibly colliding) host picks.
         #[test]
-        fn width_never_changes_classification_or_overcommits(
+        fn colliding_picks_never_overcommit(
             seed in 0u64..512,
             picks in proptest::collection::vec(0usize..6, 1..9),
         ) {
-            let serial = run_width(seed, &picks, 1);
-            for width in [2usize, 8] {
-                let wide = run_width(seed, &picks, width);
-                prop_assert_eq!(&serial, &wide, "fanout {} diverged from serial", width);
-            }
+            let held = max_holds_per_host(seed, &picks);
             prop_assert!(
-                serial.2 <= 1,
+                held <= 1,
                 "a single-CPU host held {} full-CPU reservations",
-                serial.2
+                held
             );
         }
     }

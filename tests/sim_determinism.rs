@@ -1,5 +1,5 @@
 //! The simulation harness, pinned: determinism, scale, and equivalence
-//! with the scoped-thread path.
+//! with the thread path.
 //!
 //! The discrete-event scheduler's contract (see `docs/simulation.md`):
 //!
@@ -11,9 +11,9 @@
 //!   completes in seconds of wall clock because every wait (backoff,
 //!   wire latency, dwell) is an event.
 //! * **Equivalence** — the sim scheduler is a *scheduler*, not a new
-//!   semantics: the PR 4 replay scenario (width-1 reservation fan-out
-//!   under loss) and serial `place_many` produce the same outcomes,
-//!   token serials, and ledger deltas under either substrate.
+//!   semantics: the replay scenario (the reservation fill pass under
+//!   loss) and a serial loop over `place` produce the same
+//!   outcomes, token serials, and ledger deltas under either substrate.
 //!
 //! Every test takes the replay guard: LOID sequence numbers are the one
 //! process-global that leaks into trace exports, so tests that compare
@@ -162,7 +162,7 @@ fn rebalance_sim_converges_like_the_thread_soak() {
 
 #[test]
 fn reservation_fanout_under_sim_matches_thread_path_under_loss() {
-    // The PR 4 replay scenario: width-1 fan-out over a lossy link, five
+    // The replay scenario: the fill pass over a lossy link, five
     // attempts, shared loss stream. Running it inside a sim task — where
     // every backoff parks on the event queue instead of advancing the
     // clock inline — must reproduce the thread path outcome-for-outcome:
@@ -177,7 +177,7 @@ fn reservation_fanout_under_sim_matches_thread_path_under_loss() {
         });
         let enactor = Enactor::with_config(
             tb.fabric.clone(),
-            EnactorConfig { fanout: 1, max_attempts: 5, ..Default::default() },
+            EnactorConfig { max_attempts: 5, ..Default::default() },
         );
         let mappings: Vec<Mapping> = tb
             .unix_hosts
@@ -231,9 +231,9 @@ fn reservation_fanout_under_sim_matches_thread_path_under_loss() {
 #[test]
 fn place_many_under_sim_matches_serial_thread_path() {
     // The concurrency-suite batch scenario: 8 requests, alternating 1 and 2
-    // instances. Serial thread path (workers = 1) versus one sim task
-    // per request — the sim runs tasks to completion in spawn order, so the
-    // two must place identically, request for request.
+    // instances. Serial thread path (one `place` after another) versus
+    // one sim task per request — the sim runs tasks to completion in
+    // spawn order, so the two must place identically, request for request.
     let _guard = Loid::replay_guard();
     const SEED: u64 = 83;
     type Placed = Vec<Result<Vec<(usize, u64)>, String>>;
@@ -265,7 +265,8 @@ fn place_many_under_sim_matches_serial_thread_path() {
         let scheduler = RandomScheduler::new(7);
         let enactor = Enactor::new(tb.fabric.clone());
         let driver = ScheduleDriver::new(std::sync::Arc::new(scheduler), std::sync::Arc::new(enactor));
-        let results = driver.place_many(&requests(class), &tb.ctx(), 1);
+        let ctx = tb.ctx();
+        let results: Vec<_> = requests(class).iter().map(|r| driver.place(r, &ctx)).collect();
         digest(&tb, results)
     };
 

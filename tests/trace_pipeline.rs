@@ -19,19 +19,7 @@ fn traced_place(
     class: Loid,
     n: u32,
 ) -> Vec<Span> {
-    traced_place_with(tb, scheduler, class, n, EnactorConfig::default())
-}
-
-/// [`traced_place`] with an explicit Enactor configuration (fan-out
-/// width, attempt budget, ...).
-fn traced_place_with(
-    tb: &Testbed,
-    scheduler: std::sync::Arc<dyn Scheduler>,
-    class: Loid,
-    n: u32,
-    config: EnactorConfig,
-) -> Vec<Span> {
-    let enactor = std::sync::Arc::new(Enactor::with_config(tb.fabric.clone(), config));
+    let enactor = std::sync::Arc::new(Enactor::new(tb.fabric.clone()));
     let driver = ScheduleDriver::new(scheduler, enactor);
     let report = driver
         .place(&PlacementRequest::new().class(class, n), &tb.ctx())
@@ -337,52 +325,12 @@ fn concurrent_placements_keep_episodes_separate() {
 }
 
 #[test]
-fn fanout_placement_emits_the_serial_span_sequence() {
-    // The fan-out workers open no spans of their own — they adopt the
-    // coordinator's attempt span — so the exported walkthrough is
-    // byte-for-byte the serial Fig. 3 sequence, whatever the width.
-    let tb = Testbed::build(TestbedConfig::local(4, 29));
-    let class = tb.register_class("fanseq", 25, 64);
-    let sink = tb.fabric.enable_tracing();
-    sink.clear();
-
-    let spans = traced_place_with(
-        &tb,
-        std::sync::Arc::new(RandomScheduler::new(3)),
-        class,
-        2,
-        EnactorConfig { fanout: 8, ..Default::default() },
-    );
-    let kinds: Vec<SpanKind> = spans.iter().map(|s| s.kind).collect();
-    assert_eq!(
-        kinds,
-        vec![
-            SpanKind::Episode,
-            SpanKind::Schedule,
-            SpanKind::CollectionQuery,
-            SpanKind::MakeReservations,
-            SpanKind::ReserveAttempt,
-            SpanKind::EnactSchedule,
-            SpanKind::EnactInstantiation,
-            SpanKind::StartObject,
-            SpanKind::EnactInstantiation,
-            SpanKind::StartObject,
-        ],
-        "fan-out must not change the exported span walkthrough"
-    );
-    assert!(spans.iter().all(|s| s.outcome == SpanOutcome::Ok), "{spans:#?}");
-    assert_eq!(sink.open_spans(), 0);
-}
-
-#[test]
-fn fanout_workers_charge_latency_to_the_attempt_span() {
+fn reserve_messages_charge_the_attempt_span() {
     use legion::fabric::reconcile::{reconcile_trace, reconciliation_report};
 
-    // A co-allocation spanning four domains, reserved 4-wide: each
-    // worker's reservation message is charged — through the adopted
-    // span context — to the same ReserveAttempt span the serial pass
-    // charges, so the attempt's charged time is exactly one intra- plus
-    // three inter-domain hops.
+    // A co-allocation spanning four domains: each reservation message
+    // is charged to the one ReserveAttempt span, so the attempt's
+    // charged time is exactly one intra- plus three inter-domain hops.
     let tb = Testbed::build(TestbedConfig::wide(4, 2, 30));
     let class = tb.register_class("fanchg", 10, 16);
     tb.tick(SimDuration::from_secs(1));
@@ -390,10 +338,7 @@ fn fanout_workers_charge_latency_to_the_attempt_span() {
     sink.clear();
     let before = tb.fabric.metrics().snapshot();
 
-    let enactor = Enactor::with_config(
-        tb.fabric.clone(),
-        EnactorConfig { fanout: 4, ..Default::default() },
-    );
+    let enactor = Enactor::new(tb.fabric.clone());
     // One host per domain: unix_hosts is domain-major, two per domain.
     let mappings: Vec<Mapping> = (0..4)
         .map(|d| {
@@ -413,16 +358,16 @@ fn fanout_workers_charge_latency_to_the_attempt_span() {
     assert_eq!(
         attempt.charged.as_micros(),
         expected_us,
-        "worker-side messages must charge the attempt span"
+        "every reservation message must charge the attempt span"
     );
-    assert_eq!(sink.open_spans(), 0, "adopted contexts all unwound");
+    assert_eq!(sink.open_spans(), 0, "every span closed");
 
-    // And the cross-thread charging kept the books straight.
+    // And the charging kept the books straight.
     let delta = tb.fabric.metrics().snapshot().delta(&before);
     let rollup = sink.rollup();
     assert!(
         reconcile_trace(&rollup, &delta).is_empty(),
-        "fan-out trace must reconcile:\n{}",
+        "the co-allocation trace must reconcile:\n{}",
         reconciliation_report(&rollup, &delta)
     );
 }
