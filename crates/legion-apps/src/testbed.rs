@@ -279,7 +279,7 @@ impl Testbed {
     /// instead of empty-table best cases. The fillers are shareable (`ONE_SHOT_TIME`) and ask
     /// for nothing, so they never deny capacity to real traffic, and
     /// they carry an explicit start time, so they never lapse into
-    /// confirmation timeouts and compact away. Returns the number made.
+    /// confirmation timeouts and die. Returns the number made.
     pub fn preload_reservations(&self, per_host: usize, class: Loid) -> usize {
         let now = self.fabric.clock().now();
         // Outlives any experiment horizon, so sweeps keep every filler.

@@ -43,16 +43,19 @@
 //!
 //! # Replay on failure
 //!
-//! Every event is appended to an in-memory schedule log. A panic inside
-//! a task or Run closure aborts the run and [`SimHandle::run`] returns a
-//! [`SimError`] carrying the formatted tail of that log — a failing seed
-//! reprints its event schedule, so the interleaving that broke is right
-//! in the test output. See `docs/simulation.md`.
+//! Every executed event is appended to a schedule log that keeps the
+//! last [`LOG_CAPACITY`] records and a digest of all of them, so a long
+//! run's memory does not grow with the events it has executed. A panic
+//! inside a task or Run closure aborts the run and [`SimHandle::run`]
+//! returns a [`SimError`] carrying the formatted tail of that log — a
+//! failing seed reprints its event schedule, so the interleaving that
+//! broke is right in the test output. See `docs/simulation.md`.
 
 use crate::clock::VirtualClock;
+use legion_core::hash::KeyedTag;
 use legion_core::{SimDuration, SimTime};
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -80,16 +83,61 @@ enum SimEvent {
     Run { label: String, f: Box<dyn FnOnce(&SimHandle) + Send> },
 }
 
-/// One line of the replayable schedule log.
-#[derive(Clone)]
+/// Records the schedule log keeps: the failure tail prints 40 of them.
+const LOG_CAPACITY: usize = 1024;
+
+/// What an executed event was: a task's wake, or a Run closure.
+enum EventLabel {
+    /// The woken task's label, shared with its slot.
+    Wake(Arc<str>),
+    /// The closure's label, moved out of its queue entry.
+    Run(String),
+}
+
+impl EventLabel {
+    /// The printed kind (`wake:` for a wake, nothing for a Run) and label.
+    fn parts(&self) -> (&'static str, &str) {
+        match self {
+            EventLabel::Wake(label) => ("wake:", label),
+            EventLabel::Run(label) => ("", label),
+        }
+    }
+}
+
+/// One line of the replayable schedule log, formatted only when printed.
 struct EventRecord {
     seq: u64,
     at: SimTime,
-    label: String,
+    label: EventLabel,
+}
+
+/// The executed schedule: its last [`LOG_CAPACITY`] records, how many
+/// were ever logged, and a digest over every one.
+struct ScheduleLog {
+    tail: VecDeque<EventRecord>,
+    logged: u64,
+    digest: KeyedTag,
+}
+
+impl ScheduleLog {
+    fn new() -> Self {
+        ScheduleLog { tail: VecDeque::new(), logged: 0, digest: KeyedTag::new(0) }
+    }
+
+    fn push(&mut self, rec: EventRecord) {
+        let (kind, label) = rec.label.parts();
+        self.digest.write_u64(rec.seq).write_u64(rec.at.as_micros());
+        self.digest.write_bytes(kind.as_bytes()).write_bytes(label.as_bytes());
+        if self.tail.len() == LOG_CAPACITY {
+            self.tail.pop_front();
+        }
+        self.tail.push_back(rec);
+        self.logged += 1;
+    }
 }
 
 struct TaskSlot {
-    label: String,
+    label: Arc<str>,
     cv: Arc<Condvar>,
     /// Set by the control loop when the baton is handed over; cleared by
     /// the task as it resumes.
@@ -105,7 +153,7 @@ struct SimState {
     active: Option<TaskId>,
     tasks: BTreeMap<TaskId, TaskSlot>,
     threads: Vec<JoinHandle<()>>,
-    log: Vec<EventRecord>,
+    log: ScheduleLog,
     failure: Option<String>,
     shutdown: bool,
     tasks_spawned: u64,
@@ -137,6 +185,10 @@ pub struct SimRunStats {
     pub tasks: u64,
     /// Virtual time when the queue drained.
     pub end: SimTime,
+    /// Digest of every event this scheduler has executed — sequence
+    /// number, time, kind and label — so two runs with equal stats ran
+    /// the same whole schedule, however much of it the log still holds.
+    pub schedule_digest: u64,
 }
 
 /// A failed simulation run: the failure message plus the formatted tail
@@ -175,7 +227,7 @@ impl SimHandle {
                     active: None,
                     tasks: BTreeMap::new(),
                     threads: Vec::new(),
-                    log: Vec::new(),
+                    log: ScheduleLog::new(),
                     failure: None,
                     shutdown: false,
                     tasks_spawned: 0,
@@ -236,7 +288,7 @@ impl SimHandle {
     /// order is part of the deterministic schedule. The closure runs
     /// straight through, parking only in [`SimHandle::sleep`].
     pub fn spawn(&self, label: impl Into<String>, f: impl FnOnce(&SimHandle) + Send + 'static) {
-        let label = label.into();
+        let label: Arc<str> = label.into().into();
         let now = self.now();
         let handle = self.clone();
         let core_addr = Arc::as_ptr(&self.core) as usize;
@@ -246,7 +298,8 @@ impl SimHandle {
         st.next_task += 1;
         st.tasks_spawned += 1;
         let cv = Arc::new(Condvar::new());
-        st.tasks.insert(tid, TaskSlot { label: label.clone(), cv: Arc::clone(&cv), runnable: false });
+        let slot = TaskSlot { label: Arc::clone(&label), cv: Arc::clone(&cv), runnable: false };
+        st.tasks.insert(tid, slot);
         Self::enqueue(&mut st, now, SimEvent::Wake(tid));
         let carrier = std::thread::Builder::new()
             .name(format!("sim-{label}"))
@@ -290,7 +343,7 @@ impl SimHandle {
     /// closure panicked — a [`SimError`] carrying the schedule tail.
     /// All carrier threads are joined before this returns.
     pub fn run(&self) -> Result<SimRunStats, SimError> {
-        let mut executed = 0u64;
+        let logged_before = self.lock().log.logged;
         let failure = loop {
             let mut st = self.lock();
             while st.active.is_some() && st.failure.is_none() {
@@ -302,32 +355,24 @@ impl SimHandle {
             let Some((&key, _)) = st.queue.iter().next() else { break None };
             let ev = st.queue.remove(&key).unwrap();
             let at = SimTime(key.0);
-            let label = match &ev {
-                SimEvent::Wake(tid) => match st.tasks.get(tid) {
-                    Some(slot) => format!("wake:{}", slot.label),
-                    // The task finished before a pending wake fired (e.g.
-                    // it was also woken by an earlier event): drop it.
-                    None => {
-                        continue;
-                    }
-                },
-                SimEvent::Run { label, .. } => label.clone(),
-            };
-            st.log.push(EventRecord { seq: key.1, at, label });
-            executed += 1;
             match ev {
                 SimEvent::Wake(tid) => {
-                    st.active = Some(tid);
-                    let slot = st.tasks.get_mut(&tid).unwrap();
+                    // The task finished before a pending wake fired (e.g.
+                    // it was also woken by an earlier event): drop it.
+                    let Some(slot) = st.tasks.get_mut(&tid) else { continue };
                     slot.runnable = true;
+                    let label = EventLabel::Wake(Arc::clone(&slot.label));
                     let cv = Arc::clone(&slot.cv);
+                    st.active = Some(tid);
+                    st.log.push(EventRecord { seq: key.1, at, label });
                     drop(st);
                     self.core.clock.advance_to(at);
                     cv.notify_one();
                     // Baton comes back at the top of the loop (active
                     // cleared by the task's next sleep or its exit).
                 }
-                SimEvent::Run { f, .. } => {
+                SimEvent::Run { label, f } => {
+                    st.log.push(EventRecord { seq: key.1, at, label: EventLabel::Run(label) });
                     drop(st);
                     self.core.clock.advance_to(at);
                     let h = self.clone();
@@ -361,8 +406,12 @@ impl SimHandle {
                 Err(SimError { message, schedule })
             }
             None => {
-                let stats =
-                    SimRunStats { events: executed, tasks: st.tasks_spawned, end: self.now() };
+                let stats = SimRunStats {
+                    events: st.log.logged - logged_before,
+                    tasks: st.tasks_spawned,
+                    end: self.now(),
+                    schedule_digest: st.log.digest.finish(),
+                };
                 // Allow the scheduler to be reused for a follow-up phase.
                 st.shutdown = false;
                 Ok(stats)
@@ -371,20 +420,25 @@ impl SimHandle {
     }
 
     /// Formats the last `tail` entries of the executed event schedule —
-    /// the replay transcript printed when a seeded run fails.
+    /// the replay transcript printed when a seeded run fails. The log
+    /// keeps the last [`LOG_CAPACITY`] entries; earlier ones are counted
+    /// in the elision line.
     pub fn format_schedule(&self, tail: usize) -> String {
         format_schedule_locked(&self.lock(), tail)
     }
 }
 
 fn format_schedule_locked(st: &SimState, tail: usize) -> String {
-    let skip = st.log.len().saturating_sub(tail);
+    let kept = &st.log.tail;
+    let shown = kept.len().min(tail);
+    let skip = st.log.logged - shown as u64;
     let mut out = String::new();
     if skip > 0 {
         out.push_str(&format!("  … {skip} earlier events elided …\n"));
     }
-    for rec in &st.log[skip..] {
-        out.push_str(&format!("  [{:>12}µs #{:<6}] {}\n", rec.at.as_micros(), rec.seq, rec.label));
+    for rec in kept.iter().skip(kept.len() - shown) {
+        let (kind, label) = rec.label.parts();
+        out.push_str(&format!("  [{:>12}µs #{:<6}] {kind}{label}\n", rec.at.as_micros(), rec.seq));
     }
     out
 }
@@ -432,7 +486,7 @@ fn carrier_main(
     let mut st = handle.lock();
     if let Err(payload) = result {
         if !payload.is::<SimShutdown>() {
-            let label = st.tasks.get(&tid).map(|s| s.label.clone()).unwrap_or_default();
+            let label = st.tasks.get(&tid).map(|s| s.label.to_string()).unwrap_or_default();
             st.failure = Some(format!("task `{label}`: {}", panic_message(payload.as_ref())));
         }
     }
@@ -614,5 +668,33 @@ mod tests {
         let stats = h.run().unwrap();
         assert_eq!(done.load(std::sync::atomic::Ordering::Relaxed), 10_000);
         assert_eq!(stats.tasks, 10_000);
+    }
+
+    #[test]
+    fn schedule_log_keeps_a_bounded_tail_and_digests_all() {
+        let run = |first: &'static str| {
+            let h = sim();
+            for i in 0..2_000u64 {
+                let label = if i == 0 { first } else { "tick" };
+                h.schedule_at(SimTime::from_micros(i), label, |_| {});
+            }
+            let stats = h.run().unwrap();
+            (stats, h.format_schedule(usize::MAX), h.format_schedule(2))
+        };
+        let (stats, all, two) = run("first");
+        assert_eq!(stats.events, 2_000);
+        assert_eq!(all.lines().count(), 1 + LOG_CAPACITY);
+        assert!(all.starts_with("  … 976 earlier events elided …\n"), "{all}");
+        let tail = [
+            "  … 1998 earlier events elided …",
+            "  [        1998µs #1998  ] tick",
+            "  [        1999µs #1999  ] tick",
+        ];
+        assert_eq!(two.lines().collect::<Vec<_>>(), tail);
+        // The digest covers the whole schedule, elided events included.
+        assert_eq!(stats, run("first").0);
+        let other = run("other");
+        assert_eq!((&other.1, &other.2), (&all, &two));
+        assert_ne!(stats.schedule_digest, other.0.schedule_digest);
     }
 }

@@ -25,11 +25,15 @@
 //! remembered. A *live* entry (pending, confirmed or consumed) keeps its
 //! whole token in a serial-ordered list; serials are minted in
 //! increasing order, so a grant appends. A *dead* reservation (cancelled,
-//! lapsed or released) shrinks to its serial, its window end and its
-//! fate, which is all `check`, `consume`, `cancel` and `compact` read of
-//! it. `sweep` walks only the live list, and a watermark — the earliest
-//! instant any live entry can lapse — lets a sweep with nothing due
-//! return without walking at all.
+//! lapsed or released) shrinks to its fate, which is all `check`,
+//! `consume` and `cancel` read of it: two bits in a bitmap over the
+//! serials minted since the last autocompaction, or, for a token that was
+//! live at that compaction, one word in a short sorted list. So what a
+//! table remembers is bounded by what it held at its last compaction and
+//! has minted since, not by how many reservations it has served. `sweep`
+//! walks only the live list, and a watermark — the earliest instant any
+//! live entry can lapse — lets a sweep with nothing due return without
+//! walking at all.
 //!
 //! Admission and `held_at` walk no entry. The table keeps what its live
 //! entries hold (how many, how many unshared, their CPU and memory) as a
@@ -88,31 +92,80 @@ impl Entry {
     }
 }
 
-/// What is remembered of a reservation that no longer holds anything.
-#[derive(Debug, Clone, Copy)]
-struct Dead {
-    serial: u64,
-    /// End of its service window, which `compact` ages it out by.
-    end: SimTime,
-    /// Cancelled by the Enactor; otherwise it lapsed or was released.
-    cancelled: bool,
+/// The fates of the reservations that hold nothing any more, kept until
+/// autocompaction forgets them all.
+#[derive(Debug, Default)]
+struct Fates {
+    /// The serial the table was to mint next when it last compacted: the
+    /// first serial the bitmap covers.
+    base: u64,
+    /// Two bits per serial from `base` on, 32 serials a word: `00` not
+    /// dead, `01` lapsed or released, `11` cancelled.
+    bits: Vec<u64>,
+    /// Serials below `base` (live at the last compaction) that have died
+    /// since, as `serial << 1 | cancelled`, in serial order.
+    older: Vec<u64>,
+    /// Serials that have died since the last compaction.
+    count: usize,
 }
 
-impl Dead {
-    fn lapsed(token: &ReservationToken) -> Dead {
-        Dead { serial: token.serial, end: token.end(), cancelled: false }
+/// A fate's bits: dead, and dead by cancellation.
+const DEAD: u64 = 0b01;
+const CANCELLED: u64 = 0b10;
+
+impl Fates {
+    /// The bitmap word and shift of a serial at or after `base`, or
+    /// `None` for an older serial.
+    fn slot(&self, serial: u64) -> Option<(usize, u32)> {
+        let i = serial.checked_sub(self.base)?;
+        Some(((i / 32) as usize, (i % 32 * 2) as u32))
     }
-}
 
-/// Inserts `d` into the serial-ordered dead list. Reservations mostly
-/// die in the order they were granted, so the end is tried first: that
-/// touches one cold cache line where a binary search touches several.
-fn bury(dead: &mut Vec<Dead>, d: Dead) {
-    if dead.last().is_none_or(|x| x.serial < d.serial) {
-        dead.push(d);
-    } else {
-        let at = dead.partition_point(|x| x.serial < d.serial);
-        dead.insert(at, d);
+    /// Records the death of a live serial.
+    fn record(&mut self, serial: u64, cancelled: bool) {
+        self.count += 1;
+        match self.slot(serial) {
+            Some((word, shift)) => {
+                if word >= self.bits.len() {
+                    self.bits.resize(word + 1, 0);
+                }
+                self.bits[word] |= (DEAD | if cancelled { CANCELLED } else { 0 }) << shift;
+            }
+            None => {
+                let at = self.older.partition_point(|&k| k >> 1 < serial);
+                self.older.insert(at, serial << 1 | u64::from(cancelled));
+            }
+        }
+    }
+
+    /// `Some(cancelled)` for a remembered dead serial, `None` otherwise.
+    fn fate(&self, serial: u64) -> Option<bool> {
+        match self.slot(serial) {
+            Some((word, shift)) => {
+                let fate = self.bits.get(word)? >> shift;
+                (fate & DEAD != 0).then_some(fate & CANCELLED != 0)
+            }
+            None => {
+                let at = self.older.binary_search_by_key(&serial, |&k| k >> 1).ok()?;
+                Some(self.older[at] & 1 != 0)
+            }
+        }
+    }
+
+    /// Re-fates a remembered dead serial as cancelled; `false` if it is
+    /// not one.
+    fn cancel(&mut self, serial: u64) -> bool {
+        match self.slot(serial) {
+            Some((word, shift)) => match self.bits.get_mut(word) {
+                Some(w) if *w >> shift & DEAD != 0 => *w |= CANCELLED << shift,
+                _ => return false,
+            },
+            None => match self.older.binary_search_by_key(&serial, |&k| k >> 1) {
+                Ok(at) => self.older[at] |= 1,
+                Err(_) => return false,
+            },
+        }
+        true
     }
 }
 
@@ -181,8 +234,10 @@ pub struct ReservationTable {
     /// live entry counts once at its start and once at its end.
     held: Held,
     edges: BTreeMap<Edge, Held>,
-    /// Cancelled, lapsed and released reservations, in serial order.
-    dead: Vec<Dead>,
+    /// Cancelled, lapsed and released reservations.
+    fates: Fates,
+    /// One past the newest serial minted.
+    next_serial: u64,
     /// No live entry lapses before this instant.
     next_lapse: SimTime,
 }
@@ -197,7 +252,8 @@ impl ReservationTable {
             live: Vec::new(),
             held: Held::default(),
             edges: BTreeMap::new(),
-            dead: Vec::new(),
+            fates: Fates::default(),
+            next_serial: 0,
             next_lapse: NEVER,
         }
     }
@@ -257,6 +313,7 @@ impl ReservationTable {
             _ => None,
         };
         let token = self.minter.mint(req, start, confirm_by);
+        self.next_serial = token.serial + 1;
         // The minter's serials only grow, so appending keeps serial order.
         let entry = Entry { token: token.clone(), state: EntryState::Pending };
         self.next_lapse = self.next_lapse.min(entry.lapses_at());
@@ -276,12 +333,11 @@ impl ReservationTable {
         }
         self.sweep(now);
         let Ok(i) = self.live_index(token.serial) else {
-            let d = self.dead_index(token.serial).map_err(|_| LegionError::InvalidToken)?;
-            return Ok(if self.dead[d].cancelled {
-                ReservationStatus::Cancelled
-            } else {
-                ReservationStatus::Expired
-            });
+            return match self.fates.fate(token.serial) {
+                Some(true) => Ok(ReservationStatus::Cancelled),
+                Some(false) => Ok(ReservationStatus::Expired),
+                None => Err(LegionError::InvalidToken),
+            };
         };
         let e = &self.live[i];
         Ok(match e.state {
@@ -308,9 +364,9 @@ impl ReservationTable {
         }
         self.sweep(now);
         let Ok(i) = self.live_index(token.serial) else {
-            return Err(match self.dead_index(token.serial) {
-                Ok(_) => LegionError::ReservationExpired,
-                Err(_) => LegionError::InvalidToken,
+            return Err(match self.fates.fate(token.serial) {
+                Some(_) => LegionError::ReservationExpired,
+                None => LegionError::InvalidToken,
             });
         };
         let e = &mut self.live[i];
@@ -337,10 +393,8 @@ impl ReservationTable {
         }
         match self.live_index(token.serial) {
             Ok(i) => self.retire(i, true),
-            Err(_) => {
-                let d = self.dead_index(token.serial).map_err(|_| LegionError::InvalidToken)?;
-                self.dead[d].cancelled = true;
-            }
+            Err(_) if self.fates.cancel(token.serial) => {}
+            Err(_) => return Err(LegionError::InvalidToken),
         }
         Ok(())
     }
@@ -361,8 +415,9 @@ impl ReservationTable {
     pub fn expire_all(&mut self) -> usize {
         let live = std::mem::take(&mut self.live);
         let n = live.len();
-        self.dead.extend(live.iter().map(|e| Dead::lapsed(&e.token)));
-        self.dead.sort_unstable_by_key(|d| d.serial);
+        for e in &live {
+            self.fates.record(e.token.serial, false);
+        }
         self.free_if_idle();
         n
     }
@@ -391,7 +446,7 @@ impl ReservationTable {
             if !idle {
                 self.tally(token, Held::minus);
             }
-            bury(&mut self.dead, Dead::lapsed(token));
+            self.fates.record(token.serial, false);
         }
         expired
     }
@@ -447,26 +502,20 @@ impl ReservationTable {
 
     /// Entries the table still knows of, live or dead (diagnostics).
     pub fn total_granted(&self) -> usize {
-        self.live.len() + self.dead.len()
-    }
-
-    /// Forgets cancelled/expired reservations whose window ended before
-    /// `horizon`, to bound memory in long experiments. Live entries are
-    /// always kept.
-    pub fn compact(&mut self, horizon: SimTime) {
-        self.dead.retain(|d| d.end >= horizon);
+        self.live.len() + self.fates.count
     }
 
     /// Forgets every dead reservation once the dead outnumber the live
     /// four to one (above a floor of 64 entries), so a table's memory
-    /// stays proportional to what it holds. Checks against a forgotten
-    /// token thereafter report `InvalidToken` (the record is gone), the
-    /// same observable behaviour as an explicit [`Self::compact`].
+    /// stays proportional to what it holds. Both fate buffers are freed
+    /// and the bitmap restarts at the next serial to be minted; a token
+    /// live now that dies later is remembered in the short list. Checks
+    /// against a forgotten token thereafter report `InvalidToken`.
     fn autocompact(&mut self) {
         const MIN_ENTRIES: usize = 64;
         let total = self.total_granted();
         if total >= MIN_ENTRIES && total > 4 * self.live.len().max(1) {
-            self.dead.clear();
+            self.fates = Fates { base: self.next_serial, ..Fates::default() };
         }
     }
 
@@ -488,18 +537,14 @@ impl ReservationTable {
         Err(0)
     }
 
-    fn dead_index(&self, serial: u64) -> Result<usize, usize> {
-        self.dead.binary_search_by_key(&serial, |d| d.serial)
-    }
-
-    /// Moves live entry `i` to the dead list. The watermark stays a lower
-    /// bound on what is left, so it needs no update.
+    /// Moves live entry `i` to the fate store. The watermark stays a
+    /// lower bound on what is left, so it needs no update.
     fn retire(&mut self, i: usize, cancelled: bool) {
         let e = self.live.remove(i);
         if !self.free_if_idle() {
             self.tally(&e.token, Held::minus);
         }
-        bury(&mut self.dead, Dead { cancelled, ..Dead::lapsed(&e.token) });
+        self.fates.record(e.token.serial, cancelled);
     }
 
     /// An emptied live list frees its buffer, holds nothing and has
@@ -717,23 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_retains_live() {
-        let mut t = table(400, 1024);
-        let tok = t.make(&req(ReservationType::ONE_SHOT_TIME, 100, 64), SimTime::ZERO).unwrap();
-        let tok2 = t
-            .make(
-                &req(ReservationType::ONE_SHOT_TIME, 100, 64).starting_at(SimTime::from_secs(500)),
-                SimTime::ZERO,
-            )
-            .unwrap();
-        t.cancel(&tok).unwrap();
-        t.compact(SimTime::from_secs(400));
-        assert_eq!(t.total_granted(), 1);
-        assert_eq!(t.check(&tok2, SimTime::ZERO).unwrap(), ReservationStatus::Pending);
-        assert!(matches!(t.check(&tok, SimTime::ZERO), Err(LegionError::InvalidToken)));
-    }
-
-    #[test]
     fn confirmed_token_lapses_at_window_end_not_deadline() {
         let mut t = table(400, 1024);
         let mut r = req(ReservationType::ONE_SHOT_TIME, 100, 64);
@@ -837,7 +865,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_serials_keep_fate_and_window() {
+    fn dead_serials_keep_their_fate() {
         let mut t = table(400, 1024);
         let r = req(ReservationType::ONE_SHOT_TIME, 10, 10);
         let early = t.make(&r, SimTime::ZERO).unwrap(); // window ends at 100 s
@@ -854,17 +882,60 @@ mod tests {
         t.cancel(&late).unwrap();
         assert_eq!(t.check(&late, SimTime::ZERO).unwrap(), ReservationStatus::Cancelled);
 
-        // `compact` forgets by window end: 100 s < 150 s ≤ 300 s.
-        t.compact(SimTime::from_secs(150));
-        assert!(matches!(t.check(&early, SimTime::ZERO), Err(LegionError::InvalidToken)));
-        assert_eq!(t.check(&late, SimTime::ZERO).unwrap(), ReservationStatus::Cancelled);
-
         // Dead entries far outnumbering the live ones are forgotten.
         for _ in 0..64 {
             let tok = t.make(&r, SimTime::ZERO).unwrap();
             t.release(tok.serial);
         }
         assert!(matches!(t.check(&late, SimTime::ZERO), Err(LegionError::InvalidToken)));
+        assert_eq!(t.live_count(), 0);
+    }
+
+    /// Grants and releases short reservations until a grant compacts the
+    /// table.
+    fn churn_until_compacted(t: &mut ReservationTable, r: &ReservationRequest) {
+        loop {
+            let before = t.total_granted();
+            let tok = t.make(r, SimTime::ZERO).unwrap();
+            let compacted = t.total_granted() <= before;
+            t.release(tok.serial);
+            if compacted {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn tokens_live_across_compactions_keep_their_fate() {
+        let mut t = table(400, 1024);
+        let r = req(ReservationType::ONE_SHOT_TIME, 10, 10);
+        let held: Vec<_> = (0..3).map(|_| t.make(&r, SimTime::ZERO).unwrap()).collect();
+        for _ in 0..2 {
+            churn_until_compacted(&mut t, &r);
+            for tok in &held {
+                assert_eq!(t.check(tok, SimTime::ZERO).unwrap(), ReservationStatus::Active);
+            }
+        }
+        // Minted before both compactions, so below the bitmap's base: they
+        // die into the list of older serials.
+        t.cancel(&held[0]).unwrap();
+        t.release(held[1].serial);
+        assert_eq!(t.expire_all(), 1);
+        use ReservationStatus::{Cancelled, Expired};
+        for (tok, fate) in held.iter().zip([Cancelled, Expired, Expired]) {
+            assert_eq!(t.check(tok, SimTime::ZERO).unwrap(), fate);
+            assert!(matches!(t.consume(tok, SimTime::ZERO), Err(LegionError::ReservationExpired)));
+        }
+        // Cancelling an older dead serial re-fates it too.
+        t.cancel(&held[1]).unwrap();
+        assert_eq!(t.check(&held[1], SimTime::ZERO).unwrap(), ReservationStatus::Cancelled);
+
+        churn_until_compacted(&mut t, &r);
+        for tok in &held {
+            assert!(matches!(t.check(tok, SimTime::ZERO), Err(LegionError::InvalidToken)));
+            assert!(matches!(t.consume(tok, SimTime::ZERO), Err(LegionError::InvalidToken)));
+            assert!(matches!(t.cancel(tok), Err(LegionError::InvalidToken)));
+        }
         assert_eq!(t.live_count(), 0);
     }
 }

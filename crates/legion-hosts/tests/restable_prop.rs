@@ -244,11 +244,6 @@ fn agree_with_reference(steps: Vec<Step>) -> Result<(), TestCaseError> {
             Step::Consume(_) | Step::Cancel(_) | Step::Check(_) | Step::Release(_) => {}
             Step::ExpireAll => prop_assert_eq!(table.expire_all(), reference.expire_all()),
             Step::Sweep => prop_assert_eq!(table.sweep(now), reference.sweep(now)),
-            Step::Compact(back) => {
-                let horizon = SimTime(now.0.saturating_sub(back * TICK * 1_000_000));
-                table.compact(horizon);
-                reference.compact(horizon);
-            }
             Step::Advance(secs) => now += SimDuration::from_secs(secs),
         }
 
@@ -263,7 +258,7 @@ fn agree_with_reference(steps: Vec<Step>) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Seconds per unit of window, deadline and horizon in [`Step`].
+/// Seconds per unit of window and deadline in [`Step`].
 const TICK: u64 = 10;
 
 #[derive(Debug, Clone)]
@@ -278,8 +273,6 @@ enum Step {
     Release(usize),
     ExpireAll,
     Sweep,
-    /// Compact with a horizon this many ticks in the past.
-    Compact(u64),
     /// Advance the clock by this many seconds.
     Advance(u64),
 }
@@ -316,11 +309,10 @@ fn arb_step() -> impl Strategy<Value = Step> {
         (0usize..64).prop_map(Step::Release),
         (1u64..25).prop_map(Step::Advance),
         (1u64..25).prop_map(Step::Advance),
-        // Crashes and explicit compactions are rare, so dead entries
-        // pile up past the autocompaction threshold.
-        (0u8..16, 0u64..8).prop_map(|(n, back)| match n {
+        // Crashes are rare, so dead entries pile up past the
+        // autocompaction threshold.
+        (0u8..16).prop_map(|n| match n {
             0 => Step::ExpireAll,
-            1 => Step::Compact(back),
             _ => Step::Sweep,
         }),
     ]
@@ -366,7 +358,7 @@ fn arb_wide_step() -> impl Strategy<Value = Step> {
 
 /// The reservation table as one map of every remembered token and its
 /// state, kept as the reference the table's answers are checked
-/// against. Same admission, sweep, `compact` and autocompaction rules.
+/// against. Same admission, sweep and autocompaction rules.
 struct ReferenceTable {
     host: Loid,
     capacity: TableCapacity,
@@ -549,9 +541,5 @@ impl ReferenceTable {
 
     fn total_granted(&self) -> usize {
         self.entries.len()
-    }
-
-    fn compact(&mut self, horizon: SimTime) {
-        self.entries.retain(|_, (t, s)| s.holds() || t.end() >= horizon);
     }
 }

@@ -6,7 +6,9 @@
 //! candidate serve, one start + destroy pass over every host (what the
 //! end-to-end benchmark does before it measures anything), and one
 //! reassessment of every host with a changed load pulled back into the
-//! Collection (what each of the benchmark's churn steps does). The
+//! Collection (what each of the benchmark's churn steps does). Further
+//! start + destroy passes, to 64 and then 256 per host, show that what a
+//! host retains does not grow with the placements it has served. The
 //! figures are a property of the data layout, not of the machine, so
 //! they repeat exactly from run to run and the guard below can be tight.
 //!
@@ -137,27 +139,45 @@ fn bytes_per_host_stay_within_budget() {
     // One start + destroy per host, as the benchmark's set-up does.
     let class_obj = tb.fabric.lookup_class(class).expect("class registered");
     let now = tb.fabric.clock().now();
+    let pass = || {
+        for host in &tb.unix_hosts {
+            let vault = host.get_compatible_vaults()[0];
+            let request =
+                ReservationRequest::instantaneous(class, vault, SimDuration::from_secs(3600))
+                    .with_demand(report.cpu_centis, report.memory_mb);
+            let token = host
+                .make_reservation(&request, now)
+                .expect("idle host grants");
+            let placement = Placement {
+                host: host.loid(),
+                vault,
+                token,
+            };
+            let instance = class_obj
+                .create_instance(Some(placement), &*tb.fabric)
+                .expect("reserved host starts");
+            class_obj
+                .destroy_instance(instance, &*tb.fabric)
+                .expect("destroy own instance");
+        }
+    };
     let start = Mark::now();
-    for host in &tb.unix_hosts {
-        let vault = host.get_compatible_vaults()[0];
-        let request = ReservationRequest::instantaneous(class, vault, SimDuration::from_secs(3600))
-            .with_demand(report.cpu_centis, report.memory_mb);
-        let token = host
-            .make_reservation(&request, now)
-            .expect("idle host grants");
-        let placement = Placement {
-            host: host.loid(),
-            vault,
-            token,
-        };
-        let instance = class_obj
-            .create_instance(Some(placement), &*tb.fabric)
-            .expect("reserved host starts");
-        class_obj
-            .destroy_instance(instance, &*tb.fabric)
-            .expect("destroy own instance");
-    }
+    pass();
     let (aged, aged_allocs) = start.per_host();
+
+    // More passes, to 64 and then 256 per host. Bytes are retained since
+    // before the first pass; allocations are per pass.
+    let mut served = 1;
+    let mut serve_to = |passes: usize| {
+        while served < passes {
+            pass();
+            served += 1;
+        }
+        let (bytes, allocs) = start.per_host();
+        (bytes, allocs / passes)
+    };
+    let (aged_64, aged_64_allocs) = serve_to(64);
+    let (aged_256, aged_256_allocs) = serve_to(256);
 
     // Every host's load moves and it reassesses, then the bed's daemon
     // pulls them all: one `replace` of a changed record per host, which
@@ -178,6 +198,8 @@ fn bytes_per_host_stay_within_budget() {
     println!("  of which the pull       {:>10}  {:>16}", pull.0, pull.1);
     println!("first candidate serve     {serve:>10}  {serve_allocs:>16}");
     println!("start + destroy pass      {aged:>10}  {aged_allocs:>16}");
+    println!("  after 64 passes         {aged_64:>10}  {aged_64_allocs:>16}");
+    println!("  after 256 passes        {aged_256:>10}  {aged_256_allocs:>16}");
     println!("reassess + pull           {repulled:>10}  {repulled_allocs:>16}");
 
     // With one `BTreeMap<String, AttrValue>` per copy of a host's
@@ -218,10 +240,31 @@ fn bytes_per_host_stay_within_budget() {
     //   first candidate serve            152                 2
     //   start + destroy pass              96                16
     //   reassess + pull                  744                 6
+    //
+    // With admission from held sums, but a reservation table that kept
+    // each dead token as a 24-byte record in a vector whose buffer, grown
+    // to 64 slots, outlived every compaction:
+    //
+    //   bed build (hosts + pull)        4901                44
+    //     of which the pull             2878                17
+    //   first candidate serve            152                 2
+    //   start + destroy pass              96                15
+    //     after 64 passes               1536                14
+    //     after 256 passes              1536                14
+    //   reassess + pull                  744                 6
     assert!(built <= 9_933 / 2, "{built} B per host after the build");
     assert!(
-        aged <= 200,
+        aged <= 64,
         "{aged} B per host retained by a start + destroy pass"
+    );
+    // What a host retains follows what it holds, not what it has served.
+    assert!(
+        (aged_64 - aged_256).abs() <= 16,
+        "{aged_64} B per host after 64 passes, {aged_256} B after 256"
+    );
+    assert!(
+        aged_64.max(aged_256) <= aged + 32,
+        "{aged_64} / {aged_256} B per host after 64 / 256 passes, {aged} B after one"
     );
     assert!(
         aged_allocs <= 100,
