@@ -217,7 +217,7 @@ pub fn run_chaos_soak(cfg: &SimSoakConfig) -> Result<SimSoakReport, SimError> {
     let failed = Arc::new(AtomicU64::new(0));
 
     // Episode arrivals: each is a Run event spawning one actor-style
-    // task, so carrier threads exist only while their episode is live.
+    // task, so an episode holds a pooled carrier thread only while live.
     for i in 0..cfg.episodes {
         let at = SimTime::ZERO + SimDuration::from_micros(cfg.arrival_gap.as_micros() * i as u64);
         let scheduler = Arc::clone(&scheduler);

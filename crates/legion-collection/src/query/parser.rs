@@ -4,19 +4,27 @@ use super::ast::{CmpOp, MatchArg, Operand, QueryExpr};
 use super::lexer::Token;
 use legion_core::AttrValue;
 
+/// Upper bound on nesting: groups and `not`s open around a point.
+/// Parsing, compiling, evaluating and dropping an expression recurse
+/// once per level, so this bounds their stack use however long the
+/// query text is.
+const MAX_DEPTH: usize = 64;
+
 /// Parses a token stream into an expression.
 pub fn parse(tokens: &[Token]) -> Result<QueryExpr, String> {
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     let expr = p.or_expr()?;
     if p.pos != tokens.len() {
         return Err(format!("trailing tokens after expression: {:?}", p.tokens[p.pos]));
     }
-    Ok(expr)
+    Ok(*expr)
 }
 
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Nesting at the current point (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -32,6 +40,17 @@ impl<'a> Parser<'a> {
         t
     }
 
+    /// Enters one more level of nesting, refusing to pass [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<(), String> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(format!(
+                "nesting depth exceeds the limit of {MAX_DEPTH} (groups and `not`s)"
+            ));
+        }
+        Ok(())
+    }
+
     fn expect(&mut self, want: &Token, ctx: &str) -> Result<(), String> {
         match self.bump() {
             Some(t) if t == want => Ok(()),
@@ -40,44 +59,56 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn or_expr(&mut self) -> Result<QueryExpr, String> {
+    // The recursive levels pass boxes, not expressions, so that a
+    // nested group stacks small frames even in an unoptimised build.
+
+    fn or_expr(&mut self) -> Result<Box<QueryExpr>, String> {
         let mut lhs = self.and_expr()?;
         while self.peek() == Some(&Token::Or) {
             self.bump();
             let rhs = self.and_expr()?;
-            lhs = QueryExpr::Or(Box::new(lhs), Box::new(rhs));
+            lhs = Box::new(QueryExpr::Or(lhs, rhs));
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<QueryExpr, String> {
+    fn and_expr(&mut self) -> Result<Box<QueryExpr>, String> {
         let mut lhs = self.unary()?;
         while self.peek() == Some(&Token::And) {
             self.bump();
             let rhs = self.unary()?;
-            lhs = QueryExpr::And(Box::new(lhs), Box::new(rhs));
+            lhs = Box::new(QueryExpr::And(lhs, rhs));
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<QueryExpr, String> {
+    fn unary(&mut self) -> Result<Box<QueryExpr>, String> {
         if self.peek() == Some(&Token::Not) {
+            self.descend()?;
             self.bump();
             let inner = self.unary()?;
-            return Ok(QueryExpr::Not(Box::new(inner)));
+            self.depth -= 1;
+            return Ok(Box::new(QueryExpr::Not(inner)));
         }
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<QueryExpr, String> {
+    fn primary(&mut self) -> Result<Box<QueryExpr>, String> {
+        if self.peek() != Some(&Token::LParen) {
+            return self.leaf().map(Box::new);
+        }
+        self.descend()?;
+        self.bump();
+        let inner = self.or_expr()?;
+        self.expect(&Token::RParen, "to close group")?;
+        self.depth -= 1;
+        Ok(inner)
+    }
+
+    /// Everything but a group.
+    fn leaf(&mut self) -> Result<QueryExpr, String> {
         match self.peek() {
             None => Err("unexpected end of query".into()),
-            Some(Token::LParen) => {
-                self.bump();
-                let inner = self.or_expr()?;
-                self.expect(&Token::RParen, "to close group")?;
-                Ok(inner)
-            }
             Some(Token::Match) => {
                 self.bump();
                 self.expect(&Token::LParen, "after `match`")?;

@@ -22,14 +22,25 @@
 //!   the wait into a scheduled wake event. A placement episode (schedule
 //!   → reserve → backoff → enact) is one task.
 //!
-//! Tasks are carried by real OS threads, but the scheduler enforces a
-//! **baton discipline**: at most one logical task (or the control loop)
-//! executes at any instant. The control loop pops the earliest event,
-//! advances the shared [`VirtualClock`] to its time, hands the baton to
-//! the woken task (or runs the closure inline), and waits for the baton
-//! back before popping the next event. Concurrency is therefore entirely
-//! *simulated* — interleavings are decided by the event queue, never by
-//! the OS — which is what makes runs bit-identical from one seed.
+//! A task needs a stack of its own, because it may park deep inside a
+//! call chain (a wire wait in `Fabric::link_between`, under Enactor and
+//! Host calls). Tasks therefore run on **carrier** OS threads, pooled
+//! per [`SimHandle::run`]: a carrier is taken from an idle list, or
+//! started, only when a task's first wake fires, and rejoins the list
+//! when its task returns. A run needs as many carriers as it has tasks
+//! started and not yet returned at one instant, not one per task.
+//!
+//! The scheduler enforces a **baton discipline**: at most one logical
+//! task (or the control thread) executes at any instant, and whoever
+//! holds the baton pops the earliest event and advances the shared
+//! [`VirtualClock`] to its time. A task giving up the baton (in `sleep`
+//! or by returning) dispatches in place: its own wake next means it
+//! just carries on, with no thread switch; another task's wake passes
+//! the baton straight to that task's carrier. Only a Run event, an empty
+//! queue or a failure hands it back to the control thread, which runs
+//! Run closures inline. Concurrency is therefore entirely *simulated* —
+//! interleavings are decided by the event queue, never by the OS —
+//! which is what makes runs bit-identical from one seed.
 //!
 //! # Determinism contract
 //!
@@ -64,6 +75,13 @@ use std::thread::JoinHandle;
 /// Identifies a spawned task within one scheduler.
 type TaskId = u64;
 
+/// Index of a carrier thread in one run's pool.
+type CarrierId = usize;
+
+/// Stack of one carrier thread: deep enough for a placement episode
+/// parked inside a wire wait under Enactor and Host calls.
+const CARRIER_STACK: usize = 512 * 1024;
+
 thread_local! {
     /// `(core address, task id)` of the sim task carried by this thread,
     /// if any. The core address keeps two coexisting schedulers from
@@ -72,8 +90,11 @@ thread_local! {
 }
 
 /// Panic payload used to unwind parked tasks during shutdown; carriers
-/// recognise it and exit quietly instead of reporting a failure.
+/// recognise it and retire quietly instead of reporting a failure.
 struct SimShutdown;
+
+/// A task's closure, held in its slot until its first wake.
+type TaskBody = Box<dyn FnOnce(&SimHandle) + Send>;
 
 /// An entry in the event queue.
 enum SimEvent {
@@ -138,21 +159,35 @@ impl ScheduleLog {
 
 struct TaskSlot {
     label: Arc<str>,
-    cv: Arc<Condvar>,
-    /// Set by the control loop when the baton is handed over; cleared by
-    /// the task as it resumes.
+    /// The closure, until the first wake hands it to a carrier.
+    body: Option<TaskBody>,
+    /// The carrier running this task, from its first wake on.
+    carrier: Option<CarrierId>,
+    /// Set when the baton is passed to this parked task; cleared by the
+    /// task as it resumes.
     runnable: bool,
+}
+
+/// One pooled OS thread that runs tasks, one at a time, start to end.
+struct Carrier {
+    cv: Arc<Condvar>,
+    /// The unstarted task this idle carrier has just been handed.
+    start: Option<TaskId>,
+    thread: Option<JoinHandle<()>>,
 }
 
 struct SimState {
     queue: BTreeMap<(u64, u64), SimEvent>,
     next_seq: u64,
     next_task: TaskId,
-    /// The task currently holding the baton (`None` while the control
-    /// loop owns it).
-    active: Option<TaskId>,
+    /// Whether a carrier holds the baton (the control thread waits
+    /// while one does).
+    active: bool,
     tasks: BTreeMap<TaskId, TaskSlot>,
-    threads: Vec<JoinHandle<()>>,
+    /// This run's carriers; joined and cleared when the run ends.
+    carriers: Vec<Carrier>,
+    /// Carriers whose task has returned, most recently freed last.
+    idle: Vec<CarrierId>,
     log: ScheduleLog,
     failure: Option<String>,
     shutdown: bool,
@@ -183,6 +218,9 @@ pub struct SimRunStats {
     pub events: u64,
     /// Tasks spawned over the run's lifetime.
     pub tasks: u64,
+    /// Carrier threads this run started: the most tasks that were
+    /// started and not yet returned at any one instant.
+    pub carriers: u64,
     /// Virtual time when the queue drained.
     pub end: SimTime,
     /// Digest of every event this scheduler has executed — sequence
@@ -224,9 +262,10 @@ impl SimHandle {
                     queue: BTreeMap::new(),
                     next_seq: 0,
                     next_task: 1,
-                    active: None,
+                    active: false,
                     tasks: BTreeMap::new(),
-                    threads: Vec::new(),
+                    carriers: Vec::new(),
+                    idle: Vec::new(),
                     log: ScheduleLog::new(),
                     failure: None,
                     shutdown: false,
@@ -285,34 +324,27 @@ impl SimHandle {
 
     /// Spawns a logical task. The task does not start immediately: its
     /// first run is a wake event at the current virtual time, so spawn
-    /// order is part of the deterministic schedule. The closure runs
-    /// straight through, parking only in [`SimHandle::sleep`].
+    /// order is part of the deterministic schedule, and no carrier
+    /// thread is taken until that wake fires. The closure runs straight
+    /// through, parking only in [`SimHandle::sleep`].
     pub fn spawn(&self, label: impl Into<String>, f: impl FnOnce(&SimHandle) + Send + 'static) {
         let label: Arc<str> = label.into().into();
         let now = self.now();
-        let handle = self.clone();
-        let core_addr = Arc::as_ptr(&self.core) as usize;
         let mut st = self.lock();
         assert!(!st.shutdown, "spawn on a finished scheduler");
         let tid = st.next_task;
         st.next_task += 1;
         st.tasks_spawned += 1;
-        let cv = Arc::new(Condvar::new());
-        let slot = TaskSlot { label: Arc::clone(&label), cv: Arc::clone(&cv), runnable: false };
+        let slot = TaskSlot { label, body: Some(Box::new(f)), carrier: None, runnable: false };
         st.tasks.insert(tid, slot);
         Self::enqueue(&mut st, now, SimEvent::Wake(tid));
-        let carrier = std::thread::Builder::new()
-            .name(format!("sim-{label}"))
-            .stack_size(512 * 1024)
-            .spawn(move || carrier_main(handle, core_addr, tid, f))
-            .expect("spawn sim carrier thread");
-        st.threads.push(carrier);
     }
 
     /// Parks the calling task for `d` of virtual time: enqueues a wake
-    /// event at `now + d`, returns the baton to the control loop, and
-    /// blocks until the wake event fires. Only callable from inside a
-    /// task spawned on this scheduler.
+    /// event at `now + d` and gives up the baton. If that wake is the
+    /// next event the task simply carries on; otherwise it blocks until
+    /// the wake fires. Only callable from inside a task spawned on this
+    /// scheduler.
     pub fn sleep(&self, d: SimDuration) {
         let here = Arc::as_ptr(&self.core) as usize;
         let tid = CURRENT_TASK.with(|c| c.get()).filter(|&(core, _)| core == here).map(|(_, t)| t);
@@ -320,22 +352,81 @@ impl SimHandle {
         let wake_at = self.now() + d;
         let mut st = self.lock();
         Self::enqueue(&mut st, wake_at, SimEvent::Wake(tid));
-        let cv = Arc::clone(&st.tasks[&tid].cv);
-        st.active = None;
-        self.core.control_cv.notify_one();
+        if self.pass_baton(&mut st, Some(tid)) {
+            return;
+        }
+        let carrier = st.tasks[&tid].carrier.expect("a sleeping task has a carrier");
+        let cv = Arc::clone(&st.carriers[carrier].cv);
         loop {
             if st.shutdown {
                 // Unwind out of the task body; the carrier recognises the
-                // payload and exits quietly.
+                // payload and retires the task quietly.
                 drop(st);
                 std::panic::panic_any(SimShutdown);
             }
-            if st.tasks.get(&tid).map(|s| s.runnable) == Some(true) {
-                st.tasks.get_mut(&tid).unwrap().runnable = false;
+            let slot = st.tasks.get_mut(&tid).expect("a parked task keeps its slot");
+            if slot.runnable {
+                slot.runnable = false;
                 return;
             }
             st = cv.wait(st).unwrap_or_else(|p| p.into_inner());
         }
+    }
+
+    /// Gives up the baton held by task `me` (`None`: the control thread,
+    /// or a carrier whose task returned). Pops wakes in `(time, seq)`
+    /// order, logging each and advancing the clock to it, and hands the
+    /// baton to the first one whose task is still live: to the carrier
+    /// of a parked task, or to a carrier from the idle list (or a new
+    /// one) for a task's first wake. Returns whether that task is `me`,
+    /// which then keeps running with no thread switch. A Run event, an
+    /// empty queue or a failure hands the baton to the control thread.
+    fn pass_baton(&self, st: &mut SimState, me: Option<TaskId>) -> bool {
+        while st.failure.is_none() {
+            let Some(entry) = st.queue.first_entry() else { break };
+            let &(at, seq) = entry.key();
+            let SimEvent::Wake(tid) = *entry.get() else { break };
+            entry.remove();
+            // The task finished before a pending wake fired: drop it.
+            let Some(slot) = st.tasks.get_mut(&tid) else { continue };
+            let at = SimTime(at);
+            st.log.push(EventRecord { seq, at, label: EventLabel::Wake(Arc::clone(&slot.label)) });
+            self.core.clock.advance_to(at);
+            if me == Some(tid) {
+                return true;
+            }
+            let carrier = match slot.carrier {
+                Some(carrier) => {
+                    slot.runnable = true;
+                    carrier
+                }
+                None => {
+                    let carrier = st.idle.pop().unwrap_or_else(|| self.new_carrier(st));
+                    st.tasks.get_mut(&tid).expect("woken task is live").carrier = Some(carrier);
+                    st.carriers[carrier].start = Some(tid);
+                    carrier
+                }
+            };
+            st.carriers[carrier].cv.notify_one();
+            st.active = true;
+            return false;
+        }
+        st.active = false;
+        self.core.control_cv.notify_one();
+        false
+    }
+
+    /// Starts one more carrier thread for this run's pool.
+    fn new_carrier(&self, st: &mut SimState) -> CarrierId {
+        let id = st.carriers.len();
+        let handle = self.clone();
+        let thread = std::thread::Builder::new()
+            .name(format!("sim-carrier-{id}"))
+            .stack_size(CARRIER_STACK)
+            .spawn(move || carrier_main(handle, id))
+            .expect("spawn sim carrier thread");
+        st.carriers.push(Carrier { cv: Arc::new(Condvar::new()), start: None, thread: Some(thread) });
+        id
     }
 
     /// Drains the event queue, advancing the clock to each event's time
@@ -343,61 +434,62 @@ impl SimHandle {
     /// closure panicked — a [`SimError`] carrying the schedule tail.
     /// All carrier threads are joined before this returns.
     pub fn run(&self) -> Result<SimRunStats, SimError> {
-        let logged_before = self.lock().log.logged;
+        let mut st = self.lock();
+        let logged_before = st.log.logged;
         let failure = loop {
-            let mut st = self.lock();
-            while st.active.is_some() && st.failure.is_none() {
+            while st.active {
                 st = self.core.control_cv.wait(st).unwrap_or_else(|p| p.into_inner());
             }
             if let Some(msg) = st.failure.take() {
                 break Some(msg);
             }
-            let Some((&key, _)) = st.queue.iter().next() else { break None };
-            let ev = st.queue.remove(&key).unwrap();
-            let at = SimTime(key.0);
-            match ev {
-                SimEvent::Wake(tid) => {
-                    // The task finished before a pending wake fired (e.g.
-                    // it was also woken by an earlier event): drop it.
-                    let Some(slot) = st.tasks.get_mut(&tid) else { continue };
-                    slot.runnable = true;
-                    let label = EventLabel::Wake(Arc::clone(&slot.label));
-                    let cv = Arc::clone(&slot.cv);
-                    st.active = Some(tid);
-                    st.log.push(EventRecord { seq: key.1, at, label });
-                    drop(st);
-                    self.core.clock.advance_to(at);
-                    cv.notify_one();
-                    // Baton comes back at the top of the loop (active
-                    // cleared by the task's next sleep or its exit).
-                }
-                SimEvent::Run { label, f } => {
-                    st.log.push(EventRecord { seq: key.1, at, label: EventLabel::Run(label) });
-                    drop(st);
-                    self.core.clock.advance_to(at);
-                    let h = self.clone();
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(&h))) {
-                        let mut st = self.lock();
-                        st.failure = Some(panic_message(payload.as_ref()));
-                    }
-                }
+            let Some(entry) = st.queue.first_entry() else { break None };
+            if let SimEvent::Wake(_) = entry.get() {
+                // Wakes run on carriers, which keep the baton among
+                // themselves until a Run event or the end is next.
+                self.pass_baton(&mut st, None);
+                continue;
+            }
+            let ((at, seq), SimEvent::Run { label, f }) = entry.remove_entry() else {
+                unreachable!("the entry is a Run event")
+            };
+            let at = SimTime(at);
+            st.log.push(EventRecord { seq, at, label: EventLabel::Run(label) });
+            drop(st);
+            self.core.clock.advance_to(at);
+            let h = self.clone();
+            let result = catch_unwind(AssertUnwindSafe(|| f(&h)));
+            st = self.lock();
+            if let Err(payload) = result {
+                st.failure = Some(panic_message(payload.as_ref()));
             }
         };
 
-        // Shut down: unwind any still-parked tasks and join every carrier.
-        let threads = {
-            let mut st = self.lock();
-            st.shutdown = true;
-            for slot in st.tasks.values() {
-                slot.cv.notify_one();
+        // Shut down: drop the bodies of tasks that never started, unwind
+        // any still-parked tasks and join every carrier.
+        st.shutdown = true;
+        let mut unstarted = Vec::new();
+        st.tasks.retain(|_, slot| match slot.body.take() {
+            Some(body) => {
+                unstarted.push(body);
+                false
             }
-            std::mem::take(&mut st.threads)
-        };
+            None => true,
+        });
+        for carrier in &st.carriers {
+            carrier.cv.notify_one();
+        }
+        let threads: Vec<_> = st.carriers.iter_mut().filter_map(|c| c.thread.take()).collect();
+        let carriers = threads.len() as u64;
+        drop(st);
+        drop(unstarted);
         for t in threads {
             let _ = t.join();
         }
 
         let mut st = self.lock();
+        st.carriers.clear();
+        st.idle.clear();
         // A task may have recorded a failure while we were shutting down.
         let failure = failure.or_else(|| st.failure.take());
         match failure {
@@ -409,6 +501,7 @@ impl SimHandle {
                 let stats = SimRunStats {
                     events: st.log.logged - logged_before,
                     tasks: st.tasks_spawned,
+                    carriers,
                     end: self.now(),
                     schedule_digest: st.log.digest.finish(),
                 };
@@ -454,45 +547,46 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Body of a task's carrier thread: park until the first wake, run the
-/// task closure under `catch_unwind`, then return the baton and retire
-/// the task slot.
-fn carrier_main(
-    handle: SimHandle,
-    core_addr: usize,
-    tid: TaskId,
-    f: impl FnOnce(&SimHandle) + Send,
-) {
-    CURRENT_TASK.with(|c| c.set(Some((core_addr, tid))));
-    {
-        let mut st = handle.lock();
-        loop {
+/// Body of a pooled carrier thread: wait on the idle list until handed
+/// an unstarted task, run it to the end under `catch_unwind`, rejoin the
+/// idle list and pass the baton on — possibly to itself, if the next
+/// event is another task's first wake. Exits when the run shuts down.
+fn carrier_main(handle: SimHandle, id: CarrierId) {
+    let core_addr = Arc::as_ptr(&handle.core) as usize;
+    let mut st = handle.lock();
+    loop {
+        let tid = loop {
             if st.shutdown {
-                // Never started: retire quietly without touching the baton.
-                st.tasks.remove(&tid);
                 return;
             }
-            if st.tasks.get(&tid).map(|s| s.runnable) == Some(true) {
-                st.tasks.get_mut(&tid).unwrap().runnable = false;
-                break;
+            if let Some(tid) = st.carriers[id].start.take() {
+                break tid;
             }
-            let cv = Arc::clone(&st.tasks[&tid].cv);
+            let cv = Arc::clone(&st.carriers[id].cv);
             st = cv.wait(st).unwrap_or_else(|p| p.into_inner());
+        };
+        let body = st.tasks.get_mut(&tid).and_then(|s| s.body.take());
+        let body = body.expect("a task starts exactly once");
+        drop(st);
+
+        CURRENT_TASK.with(|c| c.set(Some((core_addr, tid))));
+        let result = catch_unwind(AssertUnwindSafe(|| body(&handle)));
+        CURRENT_TASK.with(|c| c.set(None));
+
+        st = handle.lock();
+        let slot = st.tasks.remove(&tid).expect("a running task keeps its slot");
+        if let Err(payload) = result {
+            if !payload.is::<SimShutdown>() {
+                let message = panic_message(payload.as_ref());
+                st.failure = Some(format!("task `{}`: {message}", slot.label));
+            }
+        }
+        st.idle.push(id);
+        // During shutdown the control thread holds the baton.
+        if !st.shutdown {
+            handle.pass_baton(&mut st, None);
         }
     }
-
-    let result = catch_unwind(AssertUnwindSafe(|| f(&handle)));
-
-    let mut st = handle.lock();
-    if let Err(payload) = result {
-        if !payload.is::<SimShutdown>() {
-            let label = st.tasks.get(&tid).map(|s| s.label.to_string()).unwrap_or_default();
-            st.failure = Some(format!("task `{label}`: {}", panic_message(payload.as_ref())));
-        }
-    }
-    st.tasks.remove(&tid);
-    st.active = None;
-    handle.core.control_cv.notify_one();
 }
 
 #[cfg(test)]
@@ -668,6 +762,68 @@ mod tests {
         let stats = h.run().unwrap();
         assert_eq!(done.load(std::sync::atomic::Ordering::Relaxed), 10_000);
         assert_eq!(stats.tasks, 10_000);
+    }
+
+    #[test]
+    fn tasks_that_never_overlap_share_one_carrier() {
+        let h = sim();
+        let threads = Arc::new(Mutex::new(std::collections::HashSet::new()));
+        for i in 0..1_000u64 {
+            let threads = Arc::clone(&threads);
+            h.schedule_at(SimTime::from_secs(i), format!("arrive-{i}"), move |hh| {
+                hh.spawn(format!("ep-{i}"), move |hh| {
+                    for _ in 0..3 {
+                        hh.sleep(SimDuration::from_millis(10));
+                    }
+                    threads.lock().unwrap().insert(std::thread::current().id());
+                });
+            });
+        }
+        let stats = h.run().unwrap();
+        assert_eq!(stats.tasks, 1_000);
+        assert_eq!(stats.events, 5_000, "1,000 arrivals, each with 4 wakes");
+        assert_eq!(stats.carriers, 1, "each episode ends before the next arrives");
+        assert_eq!(threads.lock().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn overlapping_tasks_take_one_carrier_each_and_the_next_run_starts_afresh() {
+        let h = sim();
+        for i in 0..3u64 {
+            h.spawn(format!("t{i}"), move |hh| hh.sleep(SimDuration::from_micros(10 + i)));
+        }
+        assert_eq!(h.run().unwrap().carriers, 3);
+        h.spawn("alone", |hh| hh.sleep(SimDuration::from_micros(1)));
+        assert_eq!(h.run().unwrap().carriers, 1, "the pool is joined at the end of a run");
+    }
+
+    #[test]
+    fn failing_task_on_a_reused_carrier_reports_its_own_label() {
+        let h = sim();
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..3u64 {
+            let threads = Arc::clone(&threads);
+            h.schedule_at(SimTime::from_secs(i), "arrive", move |hh| {
+                hh.spawn(format!("warm-{i}"), move |hh| {
+                    hh.sleep(SimDuration::from_micros(5));
+                    threads.lock().unwrap().push(std::thread::current().id());
+                });
+            });
+        }
+        let t = Arc::clone(&threads);
+        h.schedule_at(SimTime::from_secs(10), "arrive", move |hh| {
+            hh.spawn("doomed", move |hh| {
+                t.lock().unwrap().push(std::thread::current().id());
+                hh.sleep(SimDuration::from_micros(10));
+                panic!("injected failure at {now}", now = hh.now());
+            });
+        });
+        let err = h.run().unwrap_err();
+        let threads = threads.lock().unwrap();
+        assert_eq!(threads.len(), 4);
+        assert!(threads.iter().all(|&t| t == threads[0]), "one carrier ran every task");
+        assert!(err.message.starts_with("task `doomed`: injected failure"), "{}", err.message);
+        assert!(err.schedule.contains("wake:doomed"), "schedule:\n{}", err.schedule);
     }
 
     #[test]

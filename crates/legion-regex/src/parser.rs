@@ -6,9 +6,15 @@ use crate::error::RegexError;
 /// Upper bound on `{m,n}` counts, to keep compiled programs small.
 const MAX_REPEAT: u32 = 1000;
 
+/// Upper bound on nesting: groups open around a point plus quantifiers
+/// stacked on one atom. Parsing, compiling and dropping the AST recurse
+/// once per level, so this bounds their stack use however long the
+/// pattern is (`a???…` otherwise builds one `Repeat` per `?`).
+const MAX_DEPTH: usize = 64;
+
 /// Parses a whole pattern into an AST.
 pub fn parse(pattern: &str) -> Result<Ast, RegexError> {
-    let mut p = Parser { chars: pattern.char_indices().collect(), pos: 0 };
+    let mut p = Parser { chars: pattern.char_indices().collect(), pos: 0, depth: 0 };
     let ast = p.parse_alternation()?;
     if let Some(&(off, c)) = p.peek_raw() {
         return Err(RegexError::new(off, format!("unexpected `{c}`")));
@@ -19,6 +25,8 @@ pub fn parse(pattern: &str) -> Result<Ast, RegexError> {
 struct Parser {
     chars: Vec<(usize, char)>,
     pos: usize,
+    /// Nesting at the current point (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -42,6 +50,18 @@ impl Parser {
             self.pos += 1;
         }
         c
+    }
+
+    /// Enters one more level of nesting, refusing to pass [`MAX_DEPTH`].
+    fn descend(&mut self, at: usize) -> Result<(), RegexError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(RegexError::new(
+                at,
+                format!("nesting depth exceeds the limit of {MAX_DEPTH}"),
+            ));
+        }
+        Ok(())
     }
 
     fn eat(&mut self, want: char) -> bool {
@@ -85,6 +105,7 @@ impl Parser {
     /// repeat := atom ('*' | '+' | '?' | '{m,n}')*
     fn parse_repeat(&mut self) -> Result<Ast, RegexError> {
         let start = self.offset();
+        let depth = self.depth;
         let mut node = self.parse_atom()?;
         loop {
             let (min, max) = match self.peek() {
@@ -102,11 +123,12 @@ impl Parser {
             self.bump();
             node = self.apply_repeat(node, min, max, start)?;
         }
+        self.depth = depth;
         Ok(node)
     }
 
     fn apply_repeat(
-        &self,
+        &mut self,
         node: Ast,
         min: u32,
         max: Option<u32>,
@@ -115,6 +137,7 @@ impl Parser {
         if matches!(node, Ast::StartAnchor | Ast::EndAnchor) {
             return Err(RegexError::new(at, "cannot repeat an anchor"));
         }
+        self.descend(at)?;
         Ok(Ast::Repeat { node: Box::new(node), min, max })
     }
 
@@ -168,11 +191,13 @@ impl Parser {
         match self.peek() {
             None => Err(RegexError::new(off, "unexpected end of pattern")),
             Some('(') => {
+                self.descend(off)?;
                 self.bump();
                 let inner = self.parse_alternation()?;
                 if !self.eat(')') {
                     return Err(RegexError::new(self.offset(), "unclosed `(`"));
                 }
+                self.depth -= 1;
                 Ok(Ast::Group(Box::new(inner)))
             }
             Some(')') => Err(RegexError::new(off, "unmatched `)`")),

@@ -80,6 +80,40 @@ fn pinned_seed_chaos_soak_replays_byte_identically() {
     assert!(ja.contains("\"legion-trace/v1\""), "export carries the schema tag");
 }
 
+/// Outcomes and schedule of one soak, as pinned below.
+fn pin(r: &SimSoakReport) -> (u64, u64, u64, u64, SimTime, u64) {
+    let s = &r.stats;
+    (r.completed, r.failed, r.recoveries, s.events, s.end, s.schedule_digest)
+}
+
+/// The schedule pinned as absolute values, not only against a second run
+/// of the same build: an execution-core change that reorders a single
+/// event changes the digest here. The values hold in debug and release,
+/// with tracing on or off.
+#[test]
+fn schedule_is_pinned_across_builds() {
+    let guard = Loid::replay_guard();
+    for trace in [false, true] {
+        let mut cfg = SimSoakConfig::seeded(SOAK_SEED);
+        cfg.trace = trace;
+        guard.rebase(1 << 40);
+        let r = run_chaos_soak(&cfg).unwrap_or_else(|e| panic!("{e}"));
+        let want = (300, 0, 10, 1_649, SimTime::from_secs(3_600), 18_026_518_706_310_398_417);
+        assert_eq!(pin(&r), want, "pinned-seed soak moved (trace={trace})");
+    }
+
+    // The shape of the e2e `sim_soak_5k` workload at seed 1.
+    let mut cfg = SimSoakConfig::seeded(1).with_episodes(5_000, SimDuration::from_secs(3));
+    cfg.horizon = SimDuration::from_secs(15_600);
+    cfg.trace = false;
+    guard.rebase(1 << 40);
+    let r = run_chaos_soak(&cfg).unwrap_or_else(|e| panic!("{e}"));
+    let want = (5_000, 0, 35, 29_114, SimTime::from_secs(15_600), 18_444_488_877_776_789_263);
+    assert_eq!(pin(&r), want, "5,000-episode soak moved");
+    assert_eq!(r.stats.tasks, 5_000);
+    assert!(r.stats.carriers <= 64, "{} carrier threads for 5,000 episodes", r.stats.carriers);
+}
+
 #[test]
 fn thousand_episode_soak_runs_in_seconds_without_sleeping() {
     let _guard = Loid::replay_guard();
