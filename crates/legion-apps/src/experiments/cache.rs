@@ -64,7 +64,7 @@ pub fn e_c10_candidate_cache_churn() -> Table {
             DomainTopology::uniform(1, SimDuration::from_micros(10), SimDuration::from_millis(1)),
             11,
         );
-        let collection = Collection::with_shards(0xC10, 8);
+        let collection = Collection::new(0xC10);
         collection.set_metrics(Arc::clone(fabric.metrics()));
         collection.enable_deltas(16_384);
         let vault = Loid::synthetic(LoidKind::Vault, 10);

@@ -16,18 +16,16 @@
 //! Legion authenticate the caller to be sure that it is allowed to update
 //! the data in the Collection" (§3.2).
 //!
-//! # Sharding
+//! # One store
 //!
-//! Records and their secondary indexes are split across N
-//! independently-locked shards keyed by the member's identifier hash
-//! ([`Loid::digest`] modulo the shard count), so concurrent joins,
-//! updates, and evictions on different members proceed without
-//! serializing on one lock. Queries take a consistent snapshot by
-//! acquiring every shard's read guard (in index order, so lock
-//! acquisition can never deadlock against another reader), fan the
-//! plan out per shard, and merge candidates; every multi-record result
-//! is sorted by member identifier, which makes the sharded paths
-//! bit-identical to a single-map scan regardless of shard count.
+//! Records and their secondary indexes live in one store behind one
+//! lock, so the two can never drift apart and every attribute value is
+//! interned, with its trigram postings, once. Concurrency lives in
+//! virtual time on one event queue; the lock only lets callers share
+//! the collection through an `Arc`. Every multi-record result is in
+//! member order as it is built: the record map walks in member order,
+//! and every index lookup, intersection and union returns sorted
+//! members, so nothing is sorted after the fact.
 
 use crate::delta::{ChangeLog, DeltaBatch, DeltaOp};
 use crate::index::AttributeIndexes;
@@ -44,13 +42,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default shard count — enough to spread writer contention on a
-/// many-core host without making tiny collections pay noticeable
-/// fan-out cost.
-pub const DEFAULT_SHARDS: usize = 8;
-
-/// One shard: a slice of the records plus the secondary indexes over
-/// exactly that slice, under one lock so the two can never drift apart.
+/// The records plus the secondary indexes over them, under one lock so
+/// the two can never drift apart.
 ///
 /// Every write that can change attributes goes through `insert`,
 /// `remove` or `mutate_attrs`, and each keeps the indexes in step with
@@ -60,7 +53,7 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// not the attributes the record has. A touch only re-points the
 /// snapshot and leaves the indexes alone.
 #[derive(Default)]
-struct Shard {
+struct Store {
     /// Member → shared record snapshot. Queries clone the `Arc`, not
     /// the record, so results share structure with the store — and so
     /// do the change log, push mirrors and candidate caches. A stored
@@ -74,7 +67,7 @@ struct Shard {
     indexes: AttributeIndexes,
 }
 
-impl Shard {
+impl Store {
     /// Installs `record` as its member's snapshot. A member already
     /// present — a daemon's first join of a host another daemon
     /// described, a mirror's upsert — is re-indexed from its outgoing
@@ -119,7 +112,7 @@ impl Shard {
     }
 }
 
-/// A cheap validity handle over the collection's contents: the shard
+/// A cheap validity handle over the collection's contents: the store
 /// generation (bumped on every mutation, including derived-attribute
 /// installation) paired with the change log's newest sequence number.
 ///
@@ -127,10 +120,10 @@ impl Shard {
 /// so any result derived from the collection at the first epoch is
 /// still exact at the second — the validation primitive behind the
 /// scheduler-side candidate cache. Reading an epoch costs two atomic
-/// loads; no shard lock is taken.
+/// loads; no store lock is taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollectionEpoch {
-    /// Mutation counter; monotone, bumped under the written shard's
+    /// Mutation counter; monotone, bumped under the store's write
     /// guard so it can never run behind a visible store change.
     pub generation: u64,
     /// Newest [`ChangeLog`] sequence (0 while deltas are off).
@@ -177,18 +170,18 @@ pub struct MemberCredential {
 pub struct Collection {
     loid: Loid,
     secret: u64,
-    shards: Vec<RwLock<Shard>>,
+    store: RwLock<Store>,
     derived: RwLock<Vec<DerivedAttribute>>,
     metrics: RwLock<Option<Arc<MetricsLedger>>>,
     tracer: RwLock<Option<Arc<TraceSink>>>,
     /// Whether the change log is on — checked without the lock so the
     /// common (deltas-off) write path pays one relaxed load.
     deltas_on: AtomicBool,
-    /// The bounded change log feeding push mirrors. Locked *after* a
-    /// shard write guard, always in that order.
+    /// The bounded change log feeding push mirrors. Locked *after* the
+    /// store's write guard, always in that order.
     changelog: Mutex<Option<ChangeLog>>,
     /// Mutation counter backing [`Self::epoch`]; bumped while the
-    /// written shard's guard is held.
+    /// store's write guard is held.
     generation: AtomicU64,
     /// Mirror of the change log's newest sequence, maintained on every
     /// push so `epoch()` never takes the changelog lock.
@@ -196,21 +189,12 @@ pub struct Collection {
 }
 
 impl Collection {
-    /// An empty collection whose credentials derive from `secret`, with
-    /// the default shard count.
+    /// An empty collection whose credentials derive from `secret`.
     pub fn new(secret: u64) -> Arc<Self> {
-        Self::with_shards(secret, DEFAULT_SHARDS)
-    }
-
-    /// An empty collection with an explicit shard count (≥ 1). Shard
-    /// count is a pure concurrency/scaling knob: results of every
-    /// operation are bit-identical across counts.
-    pub fn with_shards(secret: u64, shards: usize) -> Arc<Self> {
-        let shards = shards.max(1);
         Arc::new(Collection {
             loid: Loid::fresh(LoidKind::Service),
             secret,
-            shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
+            store: RwLock::new(Store::default()),
             derived: RwLock::new(Vec::new()),
             metrics: RwLock::new(None),
             tracer: RwLock::new(None),
@@ -224,15 +208,6 @@ impl Collection {
     /// This collection's identifier.
     pub fn loid(&self) -> Loid {
         self.loid
-    }
-
-    /// The shard count this collection was built with.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of(&self, member: Loid) -> &RwLock<Shard> {
-        &self.shards[(member.digest() % self.shards.len() as u64) as usize]
     }
 
     /// Attaches the fabric metrics ledger.
@@ -278,7 +253,7 @@ impl Collection {
     }
 
     /// Bumps the mutation generation. MUST be called while still
-    /// holding the written shard's guard (or the derived write lock),
+    /// holding the store's write guard (or the derived write lock),
     /// so a reader that observes an unchanged generation can never have
     /// missed a completed mutation.
     fn bump_epoch(&self) {
@@ -298,8 +273,8 @@ impl Collection {
     }
 
     /// Appends to the change log if enabled. MUST be called while
-    /// holding the written shard's guard, so log order is consistent
-    /// with per-member store order.
+    /// holding the store's write guard, so log order is consistent
+    /// with store order.
     fn log_delta(&self, op: DeltaOp) {
         if !self.deltas_on.load(Ordering::Acquire) {
             return;
@@ -357,15 +332,22 @@ impl Collection {
     /// `LeaveCollection(LOID)`.
     pub fn leave(&self, cred: &MemberCredential) -> Result<(), LegionError> {
         self.authenticate(cred)?;
-        let mut shard = self.shard_of(cred.member).write();
-        let removed = shard.remove(cred.member);
-        if removed.is_some() {
-            self.log_delta(DeltaOp::Remove { member: cred.member });
-            self.bump_epoch();
+        if self.remove_logged(&mut self.store.write(), cred.member) {
             Ok(())
         } else {
             Err(LegionError::NoSuchObject(cred.member))
         }
+    }
+
+    /// Removes `member` from `store` (the caller holds its write guard)
+    /// and logs the departure; false if it was not a member.
+    fn remove_logged(&self, store: &mut Store, member: Loid) -> bool {
+        if store.remove(member).is_none() {
+            return false;
+        }
+        self.log_delta(DeltaOp::Remove { member });
+        self.bump_epoch();
+        true
     }
 
     /// `UpdateCollectionEntry(LOID, attrs)` — push-model refresh; merges
@@ -410,8 +392,8 @@ impl Collection {
         now: SimTime,
         next: impl FnOnce(&AttributeDb) -> AttributeDb,
     ) -> Result<(), LegionError> {
-        let mut shard = self.shard_of(member).write();
-        let rec = shard.mutate_attrs(member, now, next)?;
+        let mut store = self.store.write();
+        let rec = store.mutate_attrs(member, now, next)?;
         self.log_delta(DeltaOp::Upsert(rec));
         self.bump_epoch();
         Ok(())
@@ -426,15 +408,13 @@ impl Collection {
     /// is immutable, so the bump then lands on a copy of it.
     pub fn touch(&self, cred: &MemberCredential, now: SimTime) -> Result<(), LegionError> {
         self.authenticate(cred)?;
-        let mut shard = self.shard_of(cred.member).write();
-        let rec = shard
-            .records
-            .get_mut(&cred.member)
-            .ok_or(LegionError::NoSuchObject(cred.member))?;
+        let mut store = self.store.write();
+        let rec =
+            store.records.get_mut(&cred.member).ok_or(LegionError::NoSuchObject(cred.member))?;
         Arc::make_mut(rec).updated_at = now;
         self.log_delta(DeltaOp::Touch(Arc::clone(rec)));
         self.bump_epoch();
-        drop(shard);
+        drop(store);
         self.bump(|m| MetricsLedger::bump(&m.collection_updates));
         Ok(())
     }
@@ -445,8 +425,7 @@ impl Collection {
     /// credentials are bypassed: the mirror trusts its source link, not
     /// its members.
     pub(crate) fn apply_upsert(&self, rec: Arc<CollectionRecord>) {
-        let mut shard = self.shard_of(rec.member).write();
-        shard.insert(Arc::clone(&rec));
+        self.store.write().insert(Arc::clone(&rec));
         self.log_delta(DeltaOp::Upsert(rec));
         self.bump_epoch();
     }
@@ -456,8 +435,7 @@ impl Collection {
     /// so no index moves. Unknown members are ignored (the
     /// gap-detection path handles real divergence).
     pub(crate) fn apply_touch(&self, rec: Arc<CollectionRecord>) {
-        let mut shard = self.shard_of(rec.member).write();
-        if let Some(slot) = shard.records.get_mut(&rec.member) {
+        if let Some(slot) = self.store.write().records.get_mut(&rec.member) {
             debug_assert_eq!(slot.attrs, rec.attrs, "a Touch never changes attributes");
             *slot = Arc::clone(&rec);
             self.log_delta(DeltaOp::Touch(rec));
@@ -467,11 +445,7 @@ impl Collection {
 
     /// Applies a mirror-side removal.
     pub(crate) fn apply_remove(&self, member: Loid) {
-        let mut shard = self.shard_of(member).write();
-        if shard.remove(member).is_some() {
-            self.log_delta(DeltaOp::Remove { member });
-            self.bump_epoch();
-        }
+        self.remove_logged(&mut self.store.write(), member);
     }
 
     /// Replaces the entire contents with `records` (mirror full
@@ -481,32 +455,26 @@ impl Collection {
     /// deltas for any downstream log.
     pub(crate) fn replace_all(&self, records: Vec<Arc<CollectionRecord>>) {
         let kept: BTreeSet<Loid> = records.iter().map(|r| r.member).collect();
-        for shard_lock in &self.shards {
-            let mut shard = shard_lock.write();
-            let gone: Vec<Loid> =
-                shard.records.keys().filter(|m| !kept.contains(m)).copied().collect();
-            for member in gone {
-                shard.remove(member);
-                self.log_delta(DeltaOp::Remove { member });
-                self.bump_epoch();
-            }
+        let mut store = self.store.write();
+        let gone: Vec<Loid> = store.records.keys().filter(|m| !kept.contains(m)).copied().collect();
+        for member in gone {
+            self.remove_logged(&mut store, member);
         }
+        drop(store);
         for rec in records {
             self.apply_upsert(rec);
         }
     }
 
-    /// An atomic (records, newest-delta-seq) snapshot: every shard's
-    /// read guard plus the change-log lock are held together, so no
-    /// change can fall between the records and the sequence number —
-    /// the full-resync anchor for mirrors that hit a gap.
+    /// An atomic (records, newest-delta-seq) snapshot in member order:
+    /// the store's read guard and the change-log lock are held
+    /// together, so no change can fall between the records and the
+    /// sequence number — the full-resync anchor for mirrors that hit a
+    /// gap.
     pub fn snapshot_with_seq(&self) -> (Vec<Arc<CollectionRecord>>, u64) {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
+        let store = self.store.read();
         let seq = self.changelog.lock().as_ref().map_or(0, ChangeLog::newest_seq);
-        let mut records: Vec<Arc<CollectionRecord>> =
-            guards.iter().flat_map(|g| g.records.values().cloned()).collect();
-        records.sort_unstable_by_key(|r| r.member);
-        (records, seq)
+        (store.records.values().cloned().collect(), seq)
     }
 
     /// `QueryCollection(String, &result)` — parses and runs a query.
@@ -518,16 +486,16 @@ impl Collection {
     /// Runs a pre-compiled query (Schedulers reuse compiled queries).
     ///
     /// The engine first plans the query (see [`crate::planner`]): when
-    /// an indexable conjunct exists, each shard's secondary indexes
-    /// produce a sorted candidate list, conjuncts intersect by linear
-    /// merge, and only surviving candidates are evaluated; otherwise
+    /// an indexable conjunct exists, the secondary indexes produce a
+    /// sorted candidate list, conjuncts intersect by linear merge, and
+    /// only surviving candidates are evaluated; otherwise
     /// every record is scanned. When the plan is *exact* (its candidate
     /// set provably equals the satisfying set — e.g. the paper's
     /// anchored-regex conjunction) and no derived attributes are
     /// installed, the residual re-evaluation is skipped entirely and
     /// hits are zero-copy `Arc` clones. Either way results are
     /// identical to [`Self::query_scan`] by construction (and by the
-    /// proptest equivalence suite, across shard counts).
+    /// proptest equivalence suite).
     ///
     /// A plan is only executed when its cheap cardinality estimate says
     /// it would narrow evaluation below half the records; the estimate
@@ -558,21 +526,12 @@ impl Collection {
             span.attr("cache", label);
         }
         let derived = self.derived.read();
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let total: usize = guards.iter().map(|g| g.records.len()).sum();
+        let store = self.store.read();
+        let total = store.records.len();
         let is_derived = |name: &str| derived.iter().any(|d| d.name() == name);
         let hints_for = |pattern: &str| query.hints_for(pattern);
-        let plan = planner::plan(query.expr(), &is_derived, &hints_for).filter(|p| {
-            let cap = total / 2 + 1;
-            let mut est = 0usize;
-            for g in &guards {
-                est = est.saturating_add(p.estimate(&g.indexes, cap));
-                if est >= cap {
-                    break;
-                }
-            }
-            2 * est < total
-        });
+        let plan = planner::plan(query.expr(), &is_derived, &hints_for)
+            .filter(|p| 2 * p.estimate(&store.indexes, total / 2 + 1) < total);
         let exact = plan.as_ref().is_some_and(|p| p.exact) && derived.is_empty();
         span.attr("indexed", plan.is_some());
         span.attr("exact", exact);
@@ -580,33 +539,26 @@ impl Collection {
         let mut scanned: u64 = 0;
         match plan {
             Some(plan) => {
-                for g in &guards {
-                    for member in plan.execute(&g.indexes) {
-                        if let Some(rec) = g.records.get(&member) {
-                            if exact {
-                                out.push(Arc::clone(rec));
-                            } else {
-                                scanned += 1;
-                                if let Some(hit) = eval_record(query, &derived, rec) {
-                                    out.push(hit);
-                                }
+                for member in plan.execute(&store.indexes) {
+                    if let Some(rec) = store.records.get(&member) {
+                        if exact {
+                            out.push(Arc::clone(rec));
+                        } else {
+                            scanned += 1;
+                            if let Some(hit) = eval_record(query, &derived, rec) {
+                                out.push(hit);
                             }
                         }
                     }
                 }
             }
             None => {
-                for g in &guards {
-                    for rec in g.records.values() {
-                        scanned += 1;
-                        if let Some(hit) = eval_record(query, &derived, rec) {
-                            out.push(hit);
-                        }
-                    }
-                }
+                scanned = total as u64;
+                out.extend(
+                    store.records.values().filter_map(|rec| eval_record(query, &derived, rec)),
+                );
             }
         }
-        out.sort_unstable_by_key(|r| r.member);
         self.bump(|m| MetricsLedger::bump_by(&m.collection_records_scanned, scanned));
         span.attr("scanned", scanned as i64);
         span.attr("hits", out.len() as i64);
@@ -641,18 +593,10 @@ impl Collection {
         let span = self.query_span();
         span.attr("indexed", false);
         let derived = self.derived.read();
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let mut out = Vec::new();
-        let mut total = 0usize;
-        for g in &guards {
-            total += g.records.len();
-            for rec in g.records.values() {
-                if let Some(hit) = eval_record(query, &derived, rec) {
-                    out.push(hit);
-                }
-            }
-        }
-        out.sort_unstable_by_key(|r| r.member);
+        let store = self.store.read();
+        let total = store.records.len();
+        let out: Vec<_> =
+            store.records.values().filter_map(|rec| eval_record(query, &derived, rec)).collect();
         self.bump(|m| MetricsLedger::bump_by(&m.collection_records_scanned, total as u64));
         span.attr("scanned", total as i64);
         span.attr("hits", out.len() as i64);
@@ -660,29 +604,25 @@ impl Collection {
         out
     }
 
-    /// Returns every record (diagnostics; not part of Fig. 4), sorted
-    /// by member.
+    /// Returns every record (diagnostics; not part of Fig. 4), in
+    /// member order.
     pub fn dump(&self) -> Vec<Arc<CollectionRecord>> {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let mut out: Vec<Arc<CollectionRecord>> =
-            guards.iter().flat_map(|g| g.records.values().cloned()).collect();
-        out.sort_unstable_by_key(|r| r.member);
-        out
+        self.store.read().records.values().cloned().collect()
     }
 
     /// Reads one member's record.
     pub fn get(&self, member: Loid) -> Option<Arc<CollectionRecord>> {
-        self.shard_of(member).read().records.get(&member).cloned()
+        self.store.read().records.get(&member).cloned()
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().records.len()).sum()
+        self.store.read().records.len()
     }
 
     /// Whether the collection has no records.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().records.is_empty())
+        self.store.read().records.is_empty()
     }
 
     /// Installs a derived-attribute function (function injection, §3.2).
@@ -696,21 +636,16 @@ impl Collection {
 
     /// Maximum staleness across records at `now`.
     pub fn max_staleness(&self, now: SimTime) -> legion_core::SimDuration {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .records
-                    .values()
-                    .map(|r| r.staleness(now))
-                    .max()
-                    .unwrap_or(legion_core::SimDuration::ZERO)
-            })
+        self.store
+            .read()
+            .records
+            .values()
+            .map(|r| r.staleness(now))
             .max()
             .unwrap_or(legion_core::SimDuration::ZERO)
     }
 
-    /// Records refreshed within `ttl` of `now` (sorted by member), plus
+    /// Records refreshed within `ttl` of `now` (in member order), plus
     /// the count of stale records skipped.
     ///
     /// The closed-loop rebalancer plans only on fresh data (TTL-aware
@@ -723,29 +658,20 @@ impl Collection {
         now: SimTime,
         ttl: legion_core::SimDuration,
     ) -> (Vec<Arc<CollectionRecord>>, usize) {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let mut fresh = Vec::new();
-        let mut stale = 0;
-        for g in &guards {
-            for rec in g.records.values() {
-                if rec.staleness(now) <= ttl {
-                    fresh.push(Arc::clone(rec));
-                } else {
-                    stale += 1;
-                }
-            }
-        }
-        fresh.sort_unstable_by_key(|r| r.member);
+        let store = self.store.read();
+        let fresh: Vec<_> =
+            store.records.values().filter(|r| r.staleness(now) <= ttl).cloned().collect();
+        let stale = store.records.len() - fresh.len();
         (fresh, stale)
     }
 
     /// Convenience for members: read an attribute from a record.
     pub fn member_attr(&self, member: Loid, name: &str) -> Option<AttrValue> {
-        self.shard_of(member).read().records.get(&member).and_then(|r| r.attrs.get(name).cloned())
+        self.store.read().records.get(&member).and_then(|r| r.attrs.get(name).cloned())
     }
 
     /// Evicts every record staler than `ttl` at `now`, returning the
-    /// evicted members sorted by identifier.
+    /// evicted members in member order.
     ///
     /// A crashed host cannot leave the Collection gracefully — it just
     /// falls silent, and without eviction its last description keeps
@@ -757,24 +683,13 @@ impl Collection {
         now: SimTime,
         ttl: legion_core::SimDuration,
     ) -> Vec<Loid> {
-        let mut dead = Vec::new();
-        for shard_lock in &self.shards {
-            let mut shard = shard_lock.write();
-            let stale: Vec<Loid> = shard
-                .records
-                .values()
-                .filter(|r| r.staleness(now) > ttl)
-                .map(|r| r.member)
-                .collect();
-            for member in stale {
-                shard.remove(member);
-                self.log_delta(DeltaOp::Remove { member });
-                self.bump_epoch();
-                self.bump(|m| MetricsLedger::bump(&m.collection_evictions));
-                dead.push(member);
-            }
+        let mut store = self.store.write();
+        let dead: Vec<Loid> =
+            store.records.values().filter(|r| r.staleness(now) > ttl).map(|r| r.member).collect();
+        for &member in &dead {
+            self.remove_logged(&mut store, member);
+            self.bump(|m| MetricsLedger::bump(&m.collection_evictions));
         }
-        dead.sort_unstable();
         dead
     }
 }
@@ -943,35 +858,6 @@ mod tests {
             c.touch(&cred, SimTime::from_secs(10)),
             Err(LegionError::NoSuchObject(_))
         ));
-    }
-
-    #[test]
-    fn shard_counts_agree_on_everything() {
-        let queries = [
-            r#"$host_os_name == "IRIX""#,
-            "$host_load < 0.45",
-            r#"match("^IR", $host_os_name)"#,
-            "not exists($gpu)",
-        ];
-        let collections: Vec<_> =
-            [1usize, 2, 8].iter().map(|&n| Collection::with_shards(42, n)).collect();
-        for c in &collections {
-            for i in 0..20u64 {
-                c.join_with(
-                    l(i),
-                    host_attrs(if i % 3 == 0 { "IRIX" } else { "Linux" }, i as f64 / 20.0),
-                    SimTime::ZERO,
-                );
-            }
-        }
-        let reference = &collections[0];
-        for c in &collections[1..] {
-            assert_eq!(c.len(), reference.len());
-            assert_eq!(c.dump(), reference.dump());
-            for q in queries {
-                assert_eq!(c.query(q).unwrap(), reference.query(q).unwrap(), "{q}");
-            }
-        }
     }
 
     #[test]

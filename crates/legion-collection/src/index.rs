@@ -30,8 +30,8 @@
 //! copied.
 //!
 //! Indexes are maintained incrementally on join/update/replace/leave/
-//! evict under the same lock as the record map (one such pair per
-//! shard), so they can never drift from the records. Every such write
+//! evict under the same lock as the record map, so they can never
+//! drift from the records. Every such write
 //! is one [`AttributeIndexes::reindex`] from the record's old attributes
 //! to its new ones (a join starts from none, a leave ends with none),
 //! which moves only the attributes whose value changed: a reassessed

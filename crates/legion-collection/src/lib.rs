@@ -29,8 +29,8 @@
 //!   that are provably *exact* skip residual re-evaluation entirely;
 //!   inexact plans re-evaluate the complete query per candidate, so
 //!   results are always identical to the naive scan. Records and
-//!   indexes are sharded by member hash across independently-locked
-//!   shards (see [`collection`]).
+//!   indexes share one store under one lock, and every result comes
+//!   out in member order (see [`collection`]).
 //! * [`delta`] is the push-federation substrate: an opt-in bounded
 //!   change log of sequence-numbered upsert/touch/remove deltas that
 //!   mirrors apply incrementally, with gap detection forcing a full
@@ -50,7 +50,7 @@ pub mod planner;
 pub mod query;
 pub mod record;
 
-pub use collection::{Collection, CollectionEpoch, MemberCredential, DEFAULT_SHARDS};
+pub use collection::{Collection, CollectionEpoch, MemberCredential};
 pub use daemon::DataCollectionDaemon;
 pub use delta::{ChangeLog, Delta, DeltaBatch, DeltaOp};
 pub use federation::{FederatedCollection, FederatedRecord, PushSyncReport};

@@ -208,31 +208,33 @@ pub fn plan(
     hints_for: &dyn Fn(&str) -> Option<MatchHints>,
 ) -> Option<Plan> {
     match expr {
-        QueryExpr::And(a, b) => {
-            match (plan(a, is_derived, hints_for), plan(b, is_derived, hints_for)) {
-                // Both sides plannable: candidates intersect, and the
-                // conjunction is exact iff both sides are.
-                (Some(pa), Some(pb)) => {
-                    let exact = pa.exact && pb.exact;
-                    Some(Plan { node: PlanNode::Intersect(vec![pa, pb]), exact })
+        // The plannable parts intersect, and any of them alone is a
+        // superset of the conjunction. The conjunction is exact iff
+        // every part is planned and exact: dropping one forfeits it.
+        QueryExpr::And(parts) => {
+            let mut exact = true;
+            let mut plans = Vec::new();
+            for part in parts {
+                match plan(part, is_derived, hints_for) {
+                    Some(p) => {
+                        exact &= p.exact;
+                        plans.push(p);
+                    }
+                    None => exact = false,
                 }
-                // Either side alone is a superset of the conjunction —
-                // but dropping the other side forfeits exactness.
-                (Some(p), None) | (None, Some(p)) => {
-                    Some(Plan { exact: false, ..p })
-                }
-                (None, None) => None,
+            }
+            match plans.len() {
+                0 => None,
+                1 => plans.pop().map(|p| Plan { exact, ..p }),
+                _ => Some(Plan { node: PlanNode::Intersect(plans), exact }),
             }
         }
-        // An `or` is only narrowable when *both* arms are.
-        QueryExpr::Or(a, b) => {
-            match (plan(a, is_derived, hints_for), plan(b, is_derived, hints_for)) {
-                (Some(pa), Some(pb)) => {
-                    let exact = pa.exact && pb.exact;
-                    Some(Plan { node: PlanNode::Union(vec![pa, pb]), exact })
-                }
-                _ => None,
-            }
+        // An `or` is only narrowable when *every* arm is.
+        QueryExpr::Or(parts) => {
+            let plans =
+                parts.iter().map(|p| plan(p, is_derived, hints_for)).collect::<Option<Vec<_>>>()?;
+            let exact = plans.iter().all(|p| p.exact);
+            Some(Plan { node: PlanNode::Union(plans), exact })
         }
         QueryExpr::Cmp { lhs, op, rhs } => plan_cmp(lhs, *op, rhs, is_derived),
         QueryExpr::Exists(attr) if !is_derived(attr) => {

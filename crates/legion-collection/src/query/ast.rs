@@ -86,10 +86,11 @@ pub enum QueryExpr {
     },
     /// `exists($attr)`.
     Exists(String),
-    /// Conjunction.
-    And(Box<QueryExpr>, Box<QueryExpr>),
-    /// Disjunction.
-    Or(Box<QueryExpr>, Box<QueryExpr>),
+    /// Conjunction of a chain `a and b and …`, held flat so that a long
+    /// chain costs no stack depth.
+    And(Vec<QueryExpr>),
+    /// Disjunction of a chain `a or b or …`, held flat likewise.
+    Or(Vec<QueryExpr>),
     /// Negation.
     Not(Box<QueryExpr>),
 }

@@ -64,8 +64,8 @@ impl Query {
     fn eval(&self, e: &QueryExpr, attrs: &AttributeDb) -> bool {
         match e {
             QueryExpr::Bool(b) => *b,
-            QueryExpr::And(a, b) => self.eval(a, attrs) && self.eval(b, attrs),
-            QueryExpr::Or(a, b) => self.eval(a, attrs) || self.eval(b, attrs),
+            QueryExpr::And(parts) => parts.iter().all(|p| self.eval(p, attrs)),
+            QueryExpr::Or(parts) => parts.iter().any(|p| self.eval(p, attrs)),
             QueryExpr::Not(inner) => !self.eval(inner, attrs),
             QueryExpr::Exists(name) => attrs.contains(name),
             QueryExpr::Cmp { lhs, op, rhs } => {
@@ -184,9 +184,8 @@ fn seed_literal_patterns(
             }
             Ok(())
         }
-        QueryExpr::And(a, b) | QueryExpr::Or(a, b) => {
-            seed_literal_patterns(a, cache)?;
-            seed_literal_patterns(b, cache)
+        QueryExpr::And(parts) | QueryExpr::Or(parts) => {
+            parts.iter().try_for_each(|p| seed_literal_patterns(p, cache))
         }
         QueryExpr::Not(inner) => seed_literal_patterns(inner, cache),
         _ => Ok(()),

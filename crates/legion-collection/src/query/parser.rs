@@ -7,7 +7,8 @@ use legion_core::AttrValue;
 /// Upper bound on nesting: groups and `not`s open around a point.
 /// Parsing, compiling, evaluating and dropping an expression recurse
 /// once per level, so this bounds their stack use however long the
-/// query text is.
+/// query text is. A chain of `and`s or `or`s is one flat node, not a
+/// level per operator.
 const MAX_DEPTH: usize = 64;
 
 /// Parses a token stream into an expression.
@@ -63,23 +64,31 @@ impl<'a> Parser<'a> {
     // nested group stacks small frames even in an unoptimised build.
 
     fn or_expr(&mut self) -> Result<Box<QueryExpr>, String> {
-        let mut lhs = self.and_expr()?;
-        while self.peek() == Some(&Token::Or) {
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Box::new(QueryExpr::Or(lhs, rhs));
-        }
-        Ok(lhs)
+        self.chain(&Token::Or, Self::and_expr, QueryExpr::Or)
     }
 
     fn and_expr(&mut self) -> Result<Box<QueryExpr>, String> {
-        let mut lhs = self.unary()?;
-        while self.peek() == Some(&Token::And) {
-            self.bump();
-            let rhs = self.unary()?;
-            lhs = Box::new(QueryExpr::And(lhs, rhs));
+        self.chain(&Token::And, Self::unary, QueryExpr::And)
+    }
+
+    /// Parses `operand (op operand)*`: a lone operand as itself, a
+    /// chain as one flat `node` over every operand.
+    fn chain(
+        &mut self,
+        op: &Token,
+        operand: fn(&mut Self) -> Result<Box<QueryExpr>, String>,
+        node: fn(Vec<QueryExpr>) -> QueryExpr,
+    ) -> Result<Box<QueryExpr>, String> {
+        let first = operand(self)?;
+        if self.peek() != Some(op) {
+            return Ok(first);
         }
-        Ok(lhs)
+        let mut parts = vec![*first];
+        while self.peek() == Some(op) {
+            self.bump();
+            parts.push(*operand(self)?);
+        }
+        Ok(Box::new(node(parts)))
     }
 
     fn unary(&mut self) -> Result<Box<QueryExpr>, String> {
@@ -204,7 +213,7 @@ mod tests {
         let e = p("true or false and false");
         // Must parse as true or (false and false).
         match e {
-            QueryExpr::Or(lhs, _) => assert_eq!(*lhs, QueryExpr::Bool(true)),
+            QueryExpr::Or(parts) => assert_eq!(parts[0], QueryExpr::Bool(true)),
             other => panic!("wrong shape: {other:?}"),
         }
     }
@@ -213,8 +222,8 @@ mod tests {
     fn not_binds_tightest() {
         let e = p("not true and false");
         match e {
-            QueryExpr::And(lhs, _) => {
-                assert_eq!(*lhs, QueryExpr::Not(Box::new(QueryExpr::Bool(true))))
+            QueryExpr::And(parts) => {
+                assert_eq!(parts[0], QueryExpr::Not(Box::new(QueryExpr::Bool(true))))
             }
             other => panic!("wrong shape: {other:?}"),
         }

@@ -8,7 +8,9 @@
 //! over-approximate and the full query is re-evaluated per candidate;
 //! this suite is the executable form of that argument.
 
-use legion_collection::{parse_query, Collection, DerivedAttribute, MemberCredential};
+use legion_collection::{
+    parse_query, Collection, CollectionRecord, DerivedAttribute, MemberCredential,
+};
 use legion_core::{AttrValue, AttributeDb, Loid, LoidKind, SimDuration, SimTime};
 use legion_fabric::MetricsLedger;
 use proptest::prelude::*;
@@ -181,6 +183,20 @@ fn apply_ops(c: &Collection, ops: &[Op]) {
     }
 }
 
+fn members(records: &[Arc<CollectionRecord>]) -> Vec<Loid> {
+    records.iter().map(|r| r.member).collect()
+}
+
+fn assert_member_order(what: &str, members: Vec<Loid>) -> Result<(), TestCaseError> {
+    prop_assert!(
+        members.windows(2).all(|w| w[0] < w[1]),
+        "{} is not in strictly increasing member order: {:?}",
+        what,
+        members
+    );
+    Ok(())
+}
+
 fn assert_equivalent(c: &Collection, query: &str) -> Result<(), TestCaseError> {
     let q = parse_query(query).unwrap_or_else(|e| panic!("{query}: {e}"));
     let indexed = c.query_parsed(&q);
@@ -228,7 +244,9 @@ proptest! {
     }
 
     /// Membership churn between queries never desynchronizes the
-    /// indexes from the records.
+    /// indexes from the records, and every multi-record result comes
+    /// out in strictly increasing member order: the candidate cache
+    /// binary-searches served sets by member.
     #[test]
     fn interleaved_ops_keep_indexes_in_sync(
         rounds in proptest::collection::vec(
@@ -240,37 +258,20 @@ proptest! {
         for (ops, query) in &rounds {
             apply_ops(&c, ops);
             assert_equivalent(&c, query)?;
-        }
-    }
-
-    /// Shard count is invisible: collections with 1, 2, and 8 shards
-    /// fed the same interleaved join/update/replace/leave/evict
-    /// sequence hold bit-identical records and answer every query —
-    /// indexed and scan path both — bit-identically.
-    #[test]
-    fn shard_count_is_bit_identical(
-        rounds in proptest::collection::vec(
-            (proptest::collection::vec(arb_op(), 1..10), arb_query()),
-            1..4
-        ),
-    ) {
-        let collections: Vec<_> =
-            [1usize, 2, 8].iter().map(|&n| Collection::with_shards(7, n)).collect();
-        for (ops, query) in &rounds {
-            for c in &collections {
-                apply_ops(c, ops);
-            }
             let q = parse_query(query).unwrap_or_else(|e| panic!("{query}: {e}"));
-            let reference = collections[0].query_scan(&q);
-            for c in &collections {
-                prop_assert_eq!(c.dump(), collections[0].dump());
-                prop_assert_eq!(&c.query_parsed(&q), &reference,
-                    "sharded ({} shards) disagrees with unsharded scan on {}",
-                    c.shard_count(), query);
-                prop_assert_eq!(&c.query_scan(&q), &reference,
-                    "sharded scan ({} shards) disagrees on {}", c.shard_count(), query);
-            }
+            assert_member_order("query", members(&c.query_parsed(&q)))?;
+            assert_member_order("query_scan", members(&c.query_scan(&q)))?;
+            assert_member_order("dump", members(&c.dump()))?;
+            let (fresh, _) = c.fresh_records(SimTime::from_secs(8), SimDuration::from_secs(4));
+            assert_member_order("fresh_records", members(&fresh))?;
+            assert_member_order("snapshot_with_seq", members(&c.snapshot_with_seq().0))?;
+            let evicted = c.evict_stale(SimTime::from_secs(8), SimDuration::from_secs(6));
+            assert_member_order("evict_stale", evicted)?;
         }
+        // A last sweep evicts every member, in the order `dump` lists them.
+        let all = members(&c.dump());
+        prop_assert_eq!(c.evict_stale(SimTime::from_secs(1_000), SimDuration::ZERO), all);
+        prop_assert!(c.is_empty());
     }
 }
 

@@ -6,8 +6,8 @@
 //! relevant changed between episodes. This module caches the
 //! *materialized* candidate set per compiled query text and validates
 //! it with [`Collection::epoch`]: a hit costs two atomic loads and a
-//! comparison instead of a sharded index probe, merge, and per-record
-//! vault extraction.
+//! comparison instead of an index probe, a candidate walk, and
+//! per-record vault extraction.
 //!
 //! On epoch advance the cache consumes the Collection's bounded delta
 //! log ([`Collection::deltas_since`]) and patches the cached set
@@ -24,7 +24,7 @@
 //!   EXPERIMENTS.md E-C10).
 //!
 //! Correctness leans on two properties. First, every mutator bumps the
-//! generation *while still holding the written shard's guard*, so a
+//! generation *while still holding the store's write guard*, so a
 //! reader that observes an unchanged generation cannot have missed a
 //! completed mutation. Second, deltas are idempotent re-statements of
 //! post-change record state (`Upsert` and `Touch` carry the immutable

@@ -2,7 +2,7 @@
 //! churn, log gaps, deltas never enabled, oversized batches, hosts that
 //! lose and regain their vaults) and the bit-identical
 //! cached/patched/uncached equivalence property under arbitrary
-//! mutation interleavings and shard counts.
+//! mutation interleavings.
 
 use legion_collection::{Collection, MemberCredential};
 use legion_core::host::well_known;
@@ -71,12 +71,12 @@ struct Bed {
     fabric: Arc<Fabric>,
 }
 
-fn bed(shards: usize, members: usize, delta_capacity: Option<usize>) -> Bed {
+fn bed(members: usize, delta_capacity: Option<usize>) -> Bed {
     let fabric = Fabric::new(
         DomainTopology::uniform(1, SimDuration::from_micros(10), SimDuration::from_millis(1)),
         7,
     );
-    let collection = Collection::with_shards(0xCACE, shards);
+    let collection = Collection::new(0xCACE);
     collection.set_metrics(Arc::clone(fabric.metrics()));
     if let Some(cap) = delta_capacity {
         collection.enable_deltas(cap);
@@ -118,7 +118,7 @@ fn assert_serves_match(bed: &Bed) {
 
 #[test]
 fn repeat_serves_hit_and_share_the_set() {
-    let bed = bed(4, 32, Some(1024));
+    let bed = bed(32, Some(1024));
     let first = serve(&bed.cached);
     let second = serve(&bed.cached);
     assert!(Arc::ptr_eq(&first, &second), "unchanged epoch must serve the same Arc");
@@ -129,7 +129,7 @@ fn repeat_serves_hit_and_share_the_set() {
 
 #[test]
 fn touch_only_churn_patches_without_reevaluation() {
-    let bed = bed(4, 48, Some(4096));
+    let bed = bed(48, Some(4096));
     serve(&bed.cached); // prime: one full compute
     let t = SimTime::from_secs(5);
     for cred in &bed.creds {
@@ -154,7 +154,7 @@ fn touch_only_churn_patches_without_reevaluation() {
 
 #[test]
 fn upsert_churn_tracks_predicate_flips() {
-    let bed = bed(4, 32, Some(4096));
+    let bed = bed(32, Some(4096));
     let primed = serve(&bed.cached);
     // Member 1 starts at 256 MB (inside); drop it below the predicate.
     assert!(primed.iter().any(|c| c.host == member_loid(1)));
@@ -186,7 +186,7 @@ fn deep_copy(set: &[Candidate]) -> Vec<Candidate> {
 
 #[test]
 fn a_held_serve_stays_the_snapshot_it_was() {
-    let bed = bed(4, 32, Some(4096));
+    let bed = bed(32, Some(4096));
     let held = serve(&bed.cached);
     let as_taken = deep_copy(&held);
     // Every kind of logged change lands while the set is held: a flip
@@ -207,7 +207,7 @@ fn a_held_serve_stays_the_snapshot_it_was() {
 
 #[test]
 fn an_unheld_set_is_patched_where_it_lies() {
-    let bed = bed(4, 32, Some(4096));
+    let bed = bed(32, Some(4096));
     let primed = serve(&bed.cached);
     let (list, buffer) = (Arc::as_ptr(&primed), primed.as_ptr());
     drop(primed);
@@ -226,7 +226,7 @@ fn an_unheld_set_is_patched_where_it_lies() {
 
 #[test]
 fn patched_candidates_share_the_stored_records() {
-    let bed = bed(4, 32, Some(4096));
+    let bed = bed(32, Some(4096));
     serve(&bed.cached);
     let assert_shared = |why: &str| {
         let set = serve(&bed.cached);
@@ -256,7 +256,7 @@ fn log_gap_forces_full_recompute() {
     // cache's anchor falls off the front and `deltas_since` reports a
     // gap — the patch path must give up and recompute (the same rule
     // the push federation applies on gap→resync).
-    let bed = bed(4, 24, Some(8));
+    let bed = bed(24, Some(8));
     serve(&bed.cached);
     let t = SimTime::from_secs(9);
     for cred in &bed.creds {
@@ -274,7 +274,7 @@ fn log_gap_forces_full_recompute() {
 fn correct_when_deltas_were_never_enabled() {
     // No delta log at all: every epoch advance is a full recompute and
     // results stay exact — the cache degrades, never lies.
-    let bed = bed(4, 16, None);
+    let bed = bed(16, None);
     serve(&bed.cached);
     bed.collection.touch(&bed.creds[3], SimTime::from_secs(2)).unwrap();
     serve(&bed.cached);
@@ -291,7 +291,7 @@ fn correct_when_deltas_were_never_enabled() {
 fn oversized_batches_recompute_instead_of_patching() {
     // 80 ops against a 100-record collection exceeds the patch budget
     // (max(len/4, 64) = 64), so the serve recomputes through the index.
-    let bed = bed(2, 100, Some(4096));
+    let bed = bed(100, Some(4096));
     serve(&bed.cached);
     for cred in bed.creds.iter().take(80) {
         bed.collection.touch(cred, SimTime::from_secs(4)).unwrap();
@@ -309,7 +309,7 @@ fn oversized_batches_recompute_instead_of_patching() {
 
 #[test]
 fn disabling_the_cache_drops_state_and_serves_plain_queries() {
-    let bed = bed(4, 16, Some(1024));
+    let bed = bed(16, Some(1024));
     serve(&bed.cached);
     serve(&bed.cached);
     assert_eq!(bed.cached.candidate_cache_stats().hits, 1);
@@ -324,7 +324,7 @@ fn disabling_the_cache_drops_state_and_serves_plain_queries() {
 
 #[test]
 fn vaultless_hosts_are_served_but_never_placed_on() {
-    let bed = bed(4, 16, Some(1024));
+    let bed = bed(16, Some(1024));
     let class = Arc::new(LegionClass::new("w", vec![ObjectImplementation::new("mips", "IRIX")]));
     let class_loid = class.loid();
     bed.fabric.register_class(class);
@@ -379,7 +379,7 @@ fn vaultless_hosts_are_served_but_never_placed_on() {
 fn distinct_constraint_texts_stay_under_the_map_cap() {
     // Constraint text is caller-supplied through the front door, so the
     // text-keyed map is capped at 256 entries and dropped on overflow.
-    let bed = bed(2, 16, Some(1024));
+    let bed = bed(16, Some(1024));
     let serve_at_least = |mb: i64| {
         bed.cached
             .shared_candidates_for(&report(), Some(&format!("$host_memory_mb >= {mb}")))
@@ -440,7 +440,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The headline correctness property: under any interleaving of
-    /// upserts (with and without vaults), touches, leaves and rejoins — across shard counts and
+    /// upserts (with and without vaults), touches, leaves and rejoins — across
     /// delta-log capacities (including none, forcing recomputes, and
     /// tiny, forcing gaps) — a cached serve is bit-identical to a full
     /// uncached query at every observation point, and every serve a
@@ -448,11 +448,10 @@ proptest! {
     /// taken, whether later patches ran in place or on a copy.
     #[test]
     fn cached_serves_are_bit_identical_to_uncached(
-        shards in (0usize..3).prop_map(|i| [1usize, 2, 8][i]),
         capacity in (0usize..3).prop_map(|i| [None, Some(4usize), Some(4096)][i]),
         steps in proptest::collection::vec(step_strategy(12), 1..40),
     ) {
-        let mut bed = bed(shards, 12, capacity);
+        let mut bed = bed(12, capacity);
         assert_serves_match(&bed);
         let mut held: Vec<(Arc<Vec<Candidate>>, Vec<Candidate>)> = Vec::new();
         let mut now = 1u64;
