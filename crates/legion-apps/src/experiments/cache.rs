@@ -43,8 +43,15 @@ fn report() -> ClassReport {
     }
 }
 
+const CONSTRAINT: &str = "$host_memory_mb >= 256";
+
+/// The query text `shared_candidates_for` builds from `report()` and
+/// `CONSTRAINT`: what one uncached serve would run.
+const UNCACHED_QUERY: &str =
+    r#"(($host_arch == "mips" and $host_os_name == "IRIX")) and ($host_memory_mb >= 256)"#;
+
 fn serve(ctx: &SchedCtx) {
-    ctx.shared_candidates_for(&report(), Some("$host_memory_mb >= 256")).expect("query compiles");
+    ctx.shared_candidates_for(&report(), Some(CONSTRAINT)).expect("query compiles");
 }
 
 /// E-C10: how much evaluation work a cached serve does as per-serve
@@ -72,8 +79,6 @@ pub fn e_c10_candidate_cache_churn() -> Table {
             .map(|i| collection.join_with(member(i), attrs(vault, i, 0), SimTime::ZERO))
             .collect();
         let cached = SchedCtx::new(Arc::clone(&fabric), Arc::clone(&collection));
-        let uncached = SchedCtx::new(Arc::clone(&fabric), Arc::clone(&collection));
-        uncached.set_candidate_cache_enabled(false);
 
         serve(&cached); // prime: the one unavoidable full compute
         let churn = RECORDS * churn_pct / 100;
@@ -100,7 +105,7 @@ pub fn e_c10_candidate_cache_churn() -> Table {
         };
 
         let before = fabric.metrics().snapshot();
-        serve(&uncached);
+        collection.query(UNCACHED_QUERY).expect("query compiles");
         let scan = fabric.metrics().snapshot().delta(&before).collection_records_scanned;
 
         let per_serve = reevaluated / ITERS;

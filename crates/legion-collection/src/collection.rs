@@ -38,7 +38,7 @@ use legion_core::{AttrValue, AttributeDb, LegionError, Loid, LoidKind, SimTime, 
 use legion_fabric::MetricsLedger;
 use legion_trace::TraceSink;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -56,7 +56,7 @@ use std::sync::Arc;
 struct Store {
     /// Member → shared record snapshot. Queries clone the `Arc`, not
     /// the record, so results share structure with the store — and so
-    /// do the change log, push mirrors and candidate caches. A stored
+    /// do the change log and the candidate caches. A stored
     /// snapshot is therefore immutable: an attribute change installs a
     /// freshly built record, and only [`Collection::touch`] edits in
     /// place (`Arc::make_mut`, copying when anyone else holds it).
@@ -70,8 +70,8 @@ struct Store {
 impl Store {
     /// Installs `record` as its member's snapshot. A member already
     /// present — a daemon's first join of a host another daemon
-    /// described, a mirror's upsert — is re-indexed from its outgoing
-    /// record, so only the attributes that differ move.
+    /// described — is re-indexed from its outgoing record, so only the
+    /// attributes that differ move.
     fn insert(&mut self, record: Arc<CollectionRecord>) {
         let member = record.member;
         match self.records.insert(member, Arc::clone(&record)) {
@@ -126,7 +126,7 @@ pub struct CollectionEpoch {
     /// Mutation counter; monotone, bumped under the store's write
     /// guard so it can never run behind a visible store change.
     pub generation: u64,
-    /// Newest [`ChangeLog`] sequence (0 while deltas are off).
+    /// Newest change-log sequence (0 while deltas are off).
     pub delta_seq: u64,
 }
 
@@ -177,14 +177,14 @@ pub struct Collection {
     /// Whether the change log is on — checked without the lock so the
     /// common (deltas-off) write path pays one relaxed load.
     deltas_on: AtomicBool,
-    /// The bounded change log feeding push mirrors. Locked *after* the
-    /// store's write guard, always in that order.
+    /// The bounded change log the candidate caches patch from. Locked
+    /// *after* the store's write guard, always in that order.
     changelog: Mutex<Option<ChangeLog>>,
     /// Mutation counter backing [`Self::epoch`]; bumped while the
     /// store's write guard is held.
     generation: AtomicU64,
-    /// Mirror of the change log's newest sequence, maintained on every
-    /// push so `epoch()` never takes the changelog lock.
+    /// The change log's newest sequence, copied on every push so
+    /// `epoch()` never takes the changelog lock.
     delta_seq_hint: AtomicU64,
 }
 
@@ -222,10 +222,10 @@ impl Collection {
     }
 
     /// Turns on the incremental change log (capacity = retained
-    /// deltas), letting push mirrors synchronize via
-    /// [`Self::deltas_since`] instead of full pulls. Existing records
-    /// are *not* retro-logged: a mirror attaching later starts from a
-    /// full snapshot ([`Self::snapshot_with_seq`]).
+    /// deltas), letting a cache over this collection catch up through
+    /// [`Self::deltas_since`] instead of re-running its query. Existing
+    /// records are *not* retro-logged: a result computed before this
+    /// call is re-computed, not patched.
     pub fn enable_deltas(&self, capacity: usize) {
         *self.changelog.lock() = Some(ChangeLog::new(capacity));
         self.delta_seq_hint.store(0, Ordering::Release);
@@ -260,14 +260,9 @@ impl Collection {
         self.generation.fetch_add(1, Ordering::Release);
     }
 
-    /// The newest delta sequence number (0 when logging is off or
-    /// nothing has changed since it was enabled).
-    pub fn delta_seq(&self) -> u64 {
-        self.changelog.lock().as_ref().map_or(0, ChangeLog::newest_seq)
-    }
-
-    /// The changes after `applied_seq`, for a mirror to apply; reports
-    /// a gap when the bounded log has already dropped some of them.
+    /// The changes after `applied_seq`, for a cache to patch from;
+    /// reports a gap when the bounded log has already dropped some of
+    /// them.
     pub fn deltas_since(&self, applied_seq: u64) -> DeltaBatch {
         self.changelog.lock().as_ref().map_or(DeltaBatch::UpToDate, |l| l.since(applied_seq))
     }
@@ -324,7 +319,12 @@ impl Collection {
         attrs: AttributeDb,
         now: SimTime,
     ) -> MemberCredential {
-        self.apply_upsert(Arc::new(CollectionRecord::new(joiner, attrs, now)));
+        let rec = Arc::new(CollectionRecord::new(joiner, attrs, now));
+        let mut store = self.store.write();
+        store.insert(Arc::clone(&rec));
+        self.log_delta(DeltaOp::Upsert(rec));
+        self.bump_epoch();
+        drop(store);
         self.bump(|m| MetricsLedger::bump(&m.collection_updates));
         self.credential_for(joiner)
     }
@@ -402,10 +402,10 @@ impl Collection {
     /// Freshness bump without an attribute change (the incremental
     /// pull daemon's no-change fast path): only `updated_at` moves and
     /// no index is rewritten. The bumped snapshot is logged as a
-    /// [`DeltaOp::Touch`], which tells mirrors and caches to re-point
-    /// to it without re-indexing or re-evaluating. A snapshot anyone
-    /// else still holds — the log, a mirror, a cache, a query result —
-    /// is immutable, so the bump then lands on a copy of it.
+    /// [`DeltaOp::Touch`], which tells a cache to re-point to it without
+    /// re-evaluating. A snapshot anyone else still holds — the log, a
+    /// cache, a query result — is immutable, so the bump then lands on
+    /// a copy of it.
     pub fn touch(&self, cred: &MemberCredential, now: SimTime) -> Result<(), LegionError> {
         self.authenticate(cred)?;
         let mut store = self.store.write();
@@ -419,64 +419,6 @@ impl Collection {
         Ok(())
     }
 
-    /// Installs `rec` itself as its member's snapshot and logs it — a
-    /// join's new record, or a mirror-side upsert, where the record is
-    /// the one the source shipped (shared with it, not copied) and
-    /// credentials are bypassed: the mirror trusts its source link, not
-    /// its members.
-    pub(crate) fn apply_upsert(&self, rec: Arc<CollectionRecord>) {
-        self.store.write().insert(Arc::clone(&rec));
-        self.log_delta(DeltaOp::Upsert(rec));
-        self.bump_epoch();
-    }
-
-    /// Applies a mirror-side freshness bump by re-pointing to the
-    /// shipped snapshot; its attributes are the ones already indexed,
-    /// so no index moves. Unknown members are ignored (the
-    /// gap-detection path handles real divergence).
-    pub(crate) fn apply_touch(&self, rec: Arc<CollectionRecord>) {
-        if let Some(slot) = self.store.write().records.get_mut(&rec.member) {
-            debug_assert_eq!(slot.attrs, rec.attrs, "a Touch never changes attributes");
-            *slot = Arc::clone(&rec);
-            self.log_delta(DeltaOp::Touch(rec));
-            self.bump_epoch();
-        }
-    }
-
-    /// Applies a mirror-side removal.
-    pub(crate) fn apply_remove(&self, member: Loid) {
-        self.remove_logged(&mut self.store.write(), member);
-    }
-
-    /// Replaces the entire contents with `records` (mirror full
-    /// resync). Members `records` no longer carries are removed; every
-    /// record is then upserted, so a surviving member is re-indexed from
-    /// its outgoing record like any other upsert. Emits Remove/Upsert
-    /// deltas for any downstream log.
-    pub(crate) fn replace_all(&self, records: Vec<Arc<CollectionRecord>>) {
-        let kept: BTreeSet<Loid> = records.iter().map(|r| r.member).collect();
-        let mut store = self.store.write();
-        let gone: Vec<Loid> = store.records.keys().filter(|m| !kept.contains(m)).copied().collect();
-        for member in gone {
-            self.remove_logged(&mut store, member);
-        }
-        drop(store);
-        for rec in records {
-            self.apply_upsert(rec);
-        }
-    }
-
-    /// An atomic (records, newest-delta-seq) snapshot in member order:
-    /// the store's read guard and the change-log lock are held
-    /// together, so no change can fall between the records and the
-    /// sequence number — the full-resync anchor for mirrors that hit a
-    /// gap.
-    pub fn snapshot_with_seq(&self) -> (Vec<Arc<CollectionRecord>>, u64) {
-        let store = self.store.read();
-        let seq = self.changelog.lock().as_ref().map_or(0, ChangeLog::newest_seq);
-        (store.records.values().cloned().collect(), seq)
-    }
-
     /// `QueryCollection(String, &result)` — parses and runs a query.
     pub fn query(&self, query: &str) -> Result<Vec<Arc<CollectionRecord>>, LegionError> {
         let q = parse_query(query)?;
@@ -485,7 +427,7 @@ impl Collection {
 
     /// Runs a pre-compiled query (Schedulers reuse compiled queries).
     ///
-    /// The engine first plans the query (see [`crate::planner`]): when
+    /// The engine first plans the query (see the `planner` module): when
     /// an indexable conjunct exists, the secondary indexes produce a
     /// sorted candidate list, conjuncts intersect by linear merge, and
     /// only surviving candidates are evaluated; otherwise
@@ -868,7 +810,7 @@ mod tests {
         let cred = c.join_with(l(1), host_attrs("IRIX", 0.2), SimTime::ZERO);
         c.touch(&cred, SimTime::from_secs(1)).unwrap();
         c.leave(&cred).unwrap();
-        assert_eq!(c.delta_seq(), 3);
+        assert_eq!(c.epoch().delta_seq, 3);
         let DeltaBatch::Ops(ops) = c.deltas_since(0) else { panic!("expected ops") };
         assert!(matches!(&ops[0].op, DeltaOp::Upsert(rec) if rec.member == l(1)));
         assert!(matches!(&ops[1].op, DeltaOp::Touch(rec) if rec.member == l(1)));

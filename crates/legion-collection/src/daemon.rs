@@ -16,9 +16,9 @@
 //! Sweeps are *incremental*: the daemon remembers a canonical digest of
 //! each host's last-pushed attributes, and when a new snapshot hashes
 //! identically it issues [`Collection::touch`] — a freshness bump that
-//! rewrites no indexes and logs a [`Touch`](crate::delta::DeltaOp)
-//! delta, which mirrors and caches apply without re-indexing or
-//! re-evaluating — instead of a wholesale replace. An idle
+//! rewrites no indexes and logs a [`Touch`](crate::DeltaOp::Touch) delta,
+//! which a candidate cache applies without re-evaluating — instead of a
+//! wholesale replace. An idle
 //! fleet therefore costs each sweep O(hosts) hash-and-touch, not
 //! O(hosts × attrs) index churn.
 
@@ -71,6 +71,8 @@ fn hash_value(t: &mut KeyedTag, value: &AttrValue) {
 
 /// Pulls host state into one or more Collections on demand.
 pub struct DataCollectionDaemon {
+    /// This daemon's endpoint of pull traffic (domain 0 unless the
+    /// fabric places it elsewhere).
     loid: Loid,
     targets: RwLock<Vec<Target>>,
     hosts: RwLock<Vec<Arc<dyn HostObject>>>,
@@ -94,12 +96,6 @@ impl DataCollectionDaemon {
         d
     }
 
-    /// This daemon's identifier (its endpoint of pull traffic; domain 0
-    /// unless the fabric places it elsewhere).
-    pub fn loid(&self) -> Loid {
-        self.loid
-    }
-
     /// Attaches the fabric so sweeps respect its partition state: a
     /// host the daemon cannot reach answers no pulls, exactly like a
     /// crashed one, and its records age toward the staleness TTL.
@@ -113,11 +109,6 @@ impl DataCollectionDaemon {
         self.targets
             .write()
             .push(Target { collection, credentials: BTreeMap::new() });
-    }
-
-    /// Number of target Collections.
-    pub fn collection_count(&self) -> usize {
-        self.targets.read().len()
     }
 
     /// Registers a host to be swept.
@@ -264,7 +255,6 @@ mod tests {
         let f = LoadForecaster::new(4);
         d.feed_forecaster(Arc::clone(&f));
         d.pull_once(SimTime::ZERO);
-        assert_eq!(f.tracked_members(), 1);
         assert!(f.forecast(h.loid()).is_some());
     }
 
@@ -275,7 +265,6 @@ mod tests {
         let secondary = Collection::new(2);
         let d = DataCollectionDaemon::new(Arc::clone(&primary));
         d.add_collection(Arc::clone(&secondary));
-        assert_eq!(d.collection_count(), 2);
 
         let h = StandardHost::new(HostConfig::unix("h0", "uva.edu"), Arc::new(EmptyDir), 1);
         d.track_host(h.clone());

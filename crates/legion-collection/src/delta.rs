@@ -1,14 +1,15 @@
-//! Incremental change deltas — the push-federation substrate.
+//! The change log: what a Collection's readers patch from.
 //!
 //! A Collection can opt into keeping a bounded, sequence-numbered log
-//! of its membership changes ([`Collection::enable_deltas`]
-//! (crate::collection::Collection::enable_deltas)). Downstream mirrors
-//! (see [`crate::federation`]) then synchronize by *pulling the log*,
-//! not the records: each sync call ships only the operations since the
-//! mirror's last applied sequence number. A mirror that has fallen
-//! further behind than the log's capacity gets [`DeltaBatch::Gap`] and
-//! must full-resync from an atomic snapshot — the log never invents a
-//! lossy catch-up.
+//! of its membership changes
+//! ([`Collection::enable_deltas`](crate::Collection::enable_deltas)). Each
+//! [`CollectionEpoch`](crate::CollectionEpoch) carries the log's newest
+//! sequence, so a reader holding a result computed at an older epoch —
+//! the schedulers' candidate cache — asks only for the operations after
+//! that sequence and re-evaluates just the records they name. A reader
+//! that has fallen further behind than the log's capacity gets
+//! [`DeltaBatch::Gap`] and must recompute from the Collection itself:
+//! the log never invents a lossy catch-up.
 //!
 //! Three operation kinds keep the common case cheap:
 //!
@@ -16,16 +17,15 @@
 //!   record snapshot the store itself installed,
 //! * [`DeltaOp::Touch`] — a freshness bump with unchanged attributes
 //!   (the incremental pull daemon's no-change fast path); carries the
-//!   stored snapshot too, and consumers re-point to it without touching
-//!   indexes or re-evaluating anything,
+//!   stored snapshot too, and a reader re-points to it without
+//!   re-evaluating anything,
 //! * [`DeltaOp::Remove`] — a leave or TTL eviction.
 //!
 //! A logged record is immutable and *shared*: the one
-//! `Arc<CollectionRecord>` sits in the source's store, in the log, in
-//! every mirror that applied the op and in every cache that patched
-//! from it, so logging or shipping a change copies no attributes. Each
-//! op re-states the member's post-change state, which keeps replay from
-//! a conservatively old anchor idempotent.
+//! `Arc<CollectionRecord>` sits in the store, in the log and in every
+//! cache that patched from it, so logging a change copies no
+//! attributes. Each op re-states the member's post-change state, which
+//! keeps replay from a conservatively old anchor idempotent.
 
 use crate::record::CollectionRecord;
 use legion_core::Loid;
@@ -58,7 +58,7 @@ pub struct Delta {
     pub op: DeltaOp,
 }
 
-/// What a mirror gets when it asks for changes after its sequence.
+/// What a reader gets when it asks for changes after its sequence.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeltaBatch {
     /// Nothing new.
@@ -66,8 +66,8 @@ pub enum DeltaBatch {
     /// The ordered changes to apply.
     Ops(Vec<Delta>),
     /// The log no longer reaches back far enough: deltas were dropped
-    /// between the mirror's sequence and `oldest_available`. The mirror
-    /// must full-resync.
+    /// between the reader's sequence and `oldest_available`. The reader
+    /// must recompute.
     Gap {
         /// The oldest sequence still in the log.
         oldest_available: u64,
@@ -161,12 +161,12 @@ mod tests {
         for i in 1..=5 {
             log.push(rm(i));
         }
-        // Log holds 3..=5; a mirror at 1 missed seq 2.
+        // Log holds 3..=5; a reader at 1 missed seq 2.
         assert_eq!(log.since(1), DeltaBatch::Gap { oldest_available: 3, newest: 5 });
-        // A mirror at 2 can still catch up: 3 is the next it needs.
+        // A reader at 2 can still catch up: 3 is the next it needs.
         let DeltaBatch::Ops(ops) = log.since(2) else { panic!("expected ops") };
         assert_eq!(ops.len(), 3);
-        // A mirror at 0 (never synced) is also gapped.
+        // A reader at 0 (never synced) is also gapped.
         assert_eq!(log.since(0), DeltaBatch::Gap { oldest_available: 3, newest: 5 });
     }
 

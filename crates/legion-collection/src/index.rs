@@ -391,11 +391,6 @@ fn capped_sum<'a>(buckets: impl Iterator<Item = &'a Bucket<Loid>>, cap: usize) -
 }
 
 impl AttributeIndexes {
-    /// An empty index set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Indexes every attribute of a new member's record: a
     /// [`Self::reindex`] from nothing.
     pub fn insert(&mut self, member: Loid, attrs: &AttributeDb) {
@@ -692,7 +687,7 @@ mod tests {
     }
 
     fn sample() -> AttributeIndexes {
-        let mut idx = AttributeIndexes::new();
+        let mut idx = AttributeIndexes::default();
         idx.insert(
             l(1),
             &AttributeDb::new().with("os", "IRIX").with("load", 0.2).with("up", true),
@@ -808,7 +803,7 @@ mod tests {
 
     #[test]
     fn counts_saturate_at_cap_and_totals_short_circuit() {
-        let mut idx = AttributeIndexes::new();
+        let mut idx = AttributeIndexes::default();
         for i in 0..100u64 {
             idx.insert(
                 l(i),
@@ -843,7 +838,7 @@ mod tests {
 
     #[test]
     fn negative_zero_folds_onto_zero() {
-        let mut idx = AttributeIndexes::new();
+        let mut idx = AttributeIndexes::default();
         idx.insert(l(1), &AttributeDb::new().with("x", -0.0));
         assert_eq!(
             idx.lookup_num_range("x", Bound::Included(0.0), Bound::Included(0.0)),
@@ -853,7 +848,7 @@ mod tests {
 
     #[test]
     fn nan_is_never_indexed() {
-        let mut idx = AttributeIndexes::new();
+        let mut idx = AttributeIndexes::default();
         idx.insert(l(1), &AttributeDb::new().with("x", f64::NAN));
         assert_eq!(
             idx.lookup_num_range("x", Bound::Unbounded, Bound::Unbounded),
@@ -865,7 +860,7 @@ mod tests {
 
     #[test]
     fn released_trigram_ids_are_reused() {
-        let mut idx = AttributeIndexes::new();
+        let mut idx = AttributeIndexes::default();
         idx.insert(l(1), &AttributeDb::new().with("name", "u0-live"));
         for i in 0..10_000 {
             let churn = AttributeDb::new().with("name", format!("u{i}-churn"));
@@ -969,7 +964,7 @@ mod tests {
         #[test]
         fn reindex_equals_a_rebuild(steps in proptest::collection::vec(arb_step(), 1..40)) {
             const NAMES: [&str; 5] = ["arch", "host_load", "host_name", "os", "zone"];
-            let mut idx = AttributeIndexes::new();
+            let mut idx = AttributeIndexes::default();
             let mut records: BTreeMap<u64, AttributeDb> = BTreeMap::new();
             for (member, edits) in &steps {
                 let old = records.get(member).cloned().unwrap_or_default();
@@ -983,7 +978,7 @@ mod tests {
                 idx.reindex(l(*member), &old, &new);
                 records.insert(*member, new);
 
-                let mut rebuilt = AttributeIndexes::new();
+                let mut rebuilt = AttributeIndexes::default();
                 for (m, attrs) in &records {
                     rebuilt.insert(l(*m), attrs);
                 }

@@ -44,7 +44,7 @@ impl DerivedAttribute {
     }
 
     /// Computes the (name, value) pair for a record, if defined.
-    pub fn compute(&self, member: Loid, attrs: &AttributeDb) -> Option<(String, AttrValue)> {
+    pub(crate) fn compute(&self, member: Loid, attrs: &AttributeDb) -> Option<(String, AttrValue)> {
         (self.f)(member, attrs).map(|v| (self.name.clone(), v))
     }
 }
@@ -113,11 +113,6 @@ impl LoadForecaster {
         }
         let rho = if den.abs() < 1e-12 { 0.0 } else { (num / den).clamp(-1.0, 1.0) };
         Some((mean + rho * (last - mean)).max(0.0))
-    }
-
-    /// Number of members with history.
-    pub fn tracked_members(&self) -> usize {
-        self.history.read().len()
     }
 
     /// Wraps this forecaster as an injectable `host_load_forecast`.

@@ -529,7 +529,7 @@ mod tests {
     fn estimates_upper_bound_execution() {
         use legion_core::{AttributeDb, LoidKind};
         use legion_core::Loid;
-        let mut idx = AttributeIndexes::new();
+        let mut idx = AttributeIndexes::default();
         for i in 0..10u64 {
             idx.insert(
                 Loid::synthetic(LoidKind::Host, i),

@@ -27,7 +27,7 @@ pub struct Query {
 
 impl Query {
     /// Compiles an expression, validating all literal patterns.
-    pub fn compile(expr: QueryExpr) -> Result<Self, String> {
+    pub(crate) fn compile(expr: QueryExpr) -> Result<Self, String> {
         let mut cache = HashMap::new();
         seed_literal_patterns(&expr, &mut cache)?;
         let hints = cache
@@ -52,7 +52,7 @@ impl Query {
     }
 
     /// The underlying expression.
-    pub fn expr(&self) -> &QueryExpr {
+    pub(crate) fn expr(&self) -> &QueryExpr {
         &self.expr
     }
 

@@ -23,7 +23,7 @@ impl CollectionRecord {
 
     /// Age of the record relative to `now` — the staleness a pull daemon
     /// bounds.
-    pub fn staleness(&self, now: SimTime) -> legion_core::SimDuration {
+    pub(crate) fn staleness(&self, now: SimTime) -> legion_core::SimDuration {
         now.since(self.updated_at)
     }
 
@@ -33,7 +33,7 @@ impl CollectionRecord {
     /// Query results are `Arc<CollectionRecord>` clones of the stored
     /// snapshots; this is the one copy-on-write point where a fresh
     /// record (and attribute database) is actually allocated.
-    pub fn with_attrs(&self, attrs: AttributeDb) -> Self {
+    pub(crate) fn with_attrs(&self, attrs: AttributeDb) -> Self {
         CollectionRecord {
             member: self.member,
             attrs,

@@ -7,6 +7,9 @@
 //! Each hostile query is 1 MB and is handled on a thread with a 256 KiB
 //! stack; without the limits and the flat chains they abort the process
 //! with a stack overflow.
+//!
+//! Nor can it exhaust memory: a `match()` pattern whose program would
+//! exceed 65,536 instructions is refused before anything is expanded.
 
 use legion_collection::{parse_query, Collection};
 use legion_core::{AttributeDb, LegionError, Loid, LoidKind, SimTime};
@@ -85,4 +88,20 @@ fn a_megabyte_chain_of_ors_runs() {
     let query = format!("{}true", "false or ".repeat(MB / "false or ".len()));
     assert!(query.len() > MB - 16);
     assert_eq!(run_on_small_stack(query), (true, 2));
+}
+
+#[test]
+fn a_billion_instruction_pattern_is_refused_by_collection_query() {
+    let c = Collection::new(1);
+    c.join_with(Loid::synthetic(LoidKind::Host, 0), AttributeDb::new(), SimTime::ZERO);
+    let started = std::time::Instant::now();
+    let refused = c.query(r#"match("((a{1000}){1000}){1000}", $name)"#);
+    let elapsed = started.elapsed();
+    match refused {
+        Err(LegionError::BadQuery(why)) => {
+            assert!(why.contains("exceeds the limit of 65536 instructions"), "{why}")
+        }
+        other => panic!("expected a BadQuery error, got {other:?}"),
+    }
+    assert!(elapsed < std::time::Duration::from_millis(10), "took {elapsed:?}");
 }

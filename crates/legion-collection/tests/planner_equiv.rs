@@ -264,7 +264,6 @@ proptest! {
             assert_member_order("dump", members(&c.dump()))?;
             let (fresh, _) = c.fresh_records(SimTime::from_secs(8), SimDuration::from_secs(4));
             assert_member_order("fresh_records", members(&fresh))?;
-            assert_member_order("snapshot_with_seq", members(&c.snapshot_with_seq().0))?;
             let evicted = c.evict_stale(SimTime::from_secs(8), SimDuration::from_secs(6));
             assert_member_order("evict_stale", evicted)?;
         }

@@ -69,7 +69,56 @@ pub struct Program {
     pub insts: Vec<Inst>,
 }
 
+/// Most instructions a compiled program may hold. Bounded repeats
+/// expand into copies of their body, so nested counts multiply:
+/// `(a{1000}){1000}` is 15 characters and 10⁶ instructions, and one
+/// more level would be 10⁹, whose allocation failure aborts the
+/// process. The Pike VM costs O(instructions × text) per record, so the
+/// cap also bounds what one `match()` costs per host.
+pub const MAX_PROGRAM_SIZE: u64 = 1 << 16;
+
+/// The number of instructions [`compile`] emits for `ast`, counted
+/// without expanding anything: a bounded repeat costs its body's size
+/// times its count. Saturates rather than overflowing, so a pattern far
+/// over [`MAX_PROGRAM_SIZE`] still reads as over it.
+pub fn program_size(ast: &Ast) -> u64 {
+    size_of(ast).saturating_add(1) // the final `Match`
+}
+
+fn sum_of(items: &[Ast]) -> u64 {
+    items.iter().fold(0, |n, item| n.saturating_add(size_of(item)))
+}
+
+fn size_of(ast: &Ast) -> u64 {
+    match ast {
+        Ast::Empty => 0,
+        Ast::Literal(_)
+        | Ast::AnyChar
+        | Ast::Perl(_)
+        | Ast::Class { .. }
+        | Ast::StartAnchor
+        | Ast::EndAnchor => 1,
+        Ast::Group(inner) => size_of(inner),
+        Ast::Concat(items) => sum_of(items),
+        // Every branch but the last adds a `Split` and a `Jmp`.
+        Ast::Alternate(branches) => {
+            sum_of(branches).saturating_add(2 * (branches.len() as u64).saturating_sub(1))
+        }
+        Ast::Repeat { node, min, max } => {
+            let body = size_of(node);
+            let tail = match max {
+                // `e*`: a `Split`, the body and a `Jmp`.
+                None => body.saturating_add(2),
+                // Each optional copy: a `Split` and the body.
+                Some(max) => u64::from(max - min).saturating_mul(body.saturating_add(1)),
+            };
+            u64::from(*min).saturating_mul(body).saturating_add(tail)
+        }
+    }
+}
+
 /// Compiles a parsed AST into an NFA program ending in [`Inst::Match`].
+/// Callers check [`program_size`] first: this expands every repeat.
 pub fn compile(ast: &Ast) -> Program {
     let mut c = Compiler { insts: Vec::new() };
     c.emit_ast(ast);
@@ -233,6 +282,49 @@ mod tests {
         assert!(matches!(p.insts[0], Inst::Split(1, 3)));
         assert!(matches!(p.insts[2], Inst::Jmp(0)));
     }
+
+    /// The size bound is computed without expanding anything; it must
+    /// never under-count what `compile` then emits.
+    #[test]
+    fn program_size_bounds_every_compiled_program() {
+        let deepest = [
+            format!("{}a{}", "(".repeat(64), ")".repeat(64)),
+            format!("a{}", "?".repeat(64)),
+            format!("{}a{}", "(".repeat(32), "){2}".repeat(16) + &")".repeat(16)),
+        ];
+        let patterns = SUITE_PATTERNS.iter().copied().chain(deepest.iter().map(String::as_str));
+        for pattern in patterns {
+            let ast = parse(pattern).unwrap_or_else(|e| panic!("{pattern}: {e}"));
+            let emitted = compile(&ast).insts.len() as u64;
+            assert!(program_size(&ast) >= emitted, "{pattern}: bound under {emitted}");
+        }
+    }
+
+    #[test]
+    fn nested_repeat_sizes_multiply_and_saturate() {
+        let size = |p: &str| program_size(&parse(p).unwrap());
+        assert_eq!(size("(a{1000}){1000}"), 1_000_001);
+        assert_eq!(size("((a{1000}){1000}){1000}"), 1_000_000_001);
+        let deep = format!("{}a{}", "(".repeat(40), "){1000}".repeat(40));
+        assert_eq!(size(&deep), u64::MAX);
+    }
+
+    /// Every fixed pattern the crate's tests compile, plus counts at
+    /// the parser's `{m,n}` limit.
+    const SUITE_PATTERNS: &[&str] = &[
+        "", "abc", "a*", "a{2,4}", "IRIX", "a.c", "ab*c", "^ab*c$", "^ab+c$", "ab+c",
+        "^colou?r$", "^a{3}$", "^a{2,}$", "^a{1,3}$", "^(cat|dog)$", "^(ab)+$", "^[a-c]+$",
+        "^[^0-9]+$", "^[-a]+$", "^[a-]+$", r"^\d+$", r"^\w+$", r"^\s$", r"^\D+$", r"^\W$",
+        r"^\S+$", r"^5\.3$", r"^a\\b$", r"^a\tb$", r"^a\nb$", "^abc", "^bcd", "def$",
+        "abc$", "^$", r"5\..*", "b+", "ab+", "^.$", "^héllo$", "^(a*)*b$", "(a|aa)+$",
+        "^((ab|cd)e)+$", r"^[\d-]+$", r"^[\]]$", "^(ab){2,3}$", "^(a|)$", r"^[a-f\d]+$",
+        r"^[\s,;]+$", "^foo|bar$", "^(a+)+$", "ab*", "a|ab", "a$", "^$|x",
+        r"^cypress\.cs\.virginia\.edu$", r"^sp2-node\d{2}$", "^(a|bc){3}$",
+        r"[A-Z][a-z]+", "(ab)*", "(ab)+", ".*nux", "^IRIX$", "^IRIX.*64$", "^[A-Z]rix",
+        "^[^a-z]x", "^a?bc", "^ab(c|d)", "^ab.c", "^ab.cd", "^ab|cd", "ab.*cd", "cat|dog",
+        "nux$", "x(ab){2,}y", r"^5\.", r"^[\w]x", r"^[a-c5\d]x", "^a{3,5}$", "^[a-c]*$",
+        "a{1000}", "a{2,1000}", "(ab|c){0,1000}",
+    ];
 
     #[test]
     fn bounded_repeat_expands() {

@@ -19,7 +19,7 @@ impl RegexError {
 
 impl fmt::Display for RegexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "regex syntax error at offset {}: {}", self.position, self.message)
+        write!(f, "regex error at offset {}: {}", self.position, self.message)
     }
 }
 

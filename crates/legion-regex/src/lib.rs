@@ -54,9 +54,22 @@ pub struct Regex {
 impl Regex {
     /// Parses and compiles `pattern`.
     ///
-    /// Returns a [`RegexError`] describing the first syntax problem found.
+    /// Returns a [`RegexError`] describing the first syntax problem
+    /// found, or refusing a pattern whose program would exceed 65,536
+    /// instructions (nested bounded repeats multiply: `(a{1000}){1000}`
+    /// is a million). The size is counted before anything is expanded.
     pub fn new(pattern: &str) -> Result<Self, RegexError> {
         let ast = parser::parse(pattern)?;
+        let size = compile::program_size(&ast);
+        if size > compile::MAX_PROGRAM_SIZE {
+            return Err(RegexError::new(
+                0,
+                format!(
+                    "program size {size} exceeds the limit of {} instructions",
+                    compile::MAX_PROGRAM_SIZE
+                ),
+            ));
+        }
         let program = compile::compile(&ast);
         Ok(Regex { pattern: pattern.to_string(), program })
     }
@@ -226,6 +239,13 @@ mod tests {
         assert!(Regex::new("a{3,1}").is_err());
         assert!(Regex::new("a\\").is_err());
         assert!(Regex::new("a{99999999}").is_err());
+    }
+
+    #[test]
+    fn program_size_limit_is_inclusive() {
+        assert!(Regex::new("(a{1000}){65}a{535}").is_ok()); // 65,536 instructions
+        let err = Regex::new("(a{1000}){65}a{536}").unwrap_err();
+        assert!(err.message.contains("exceeds the limit of 65536 instructions"), "{err}");
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! Each hostile pattern is 1 MB and runs on a thread with a 256 KiB
 //! stack; without the limit they abort the process with a stack
 //! overflow.
+//!
+//! Nor can pattern text exhaust memory: nested bounded repeats multiply,
+//! and a pattern whose program would exceed 65,536 instructions is
+//! refused before anything is expanded.
 
 use legion_regex::{Regex, RegexError};
 
@@ -44,4 +48,23 @@ fn the_limit_is_sixty_four_levels() {
     let quantifiers = |n: usize| format!("a{}", "?".repeat(n));
     assert!(compile_on_small_stack(quantifiers(64)).is_ok());
     assert_depth_refused(quantifiers(65));
+}
+
+/// Refuses `pattern` for its program size, in under 10 ms.
+fn assert_size_refused(pattern: &str) {
+    let started = std::time::Instant::now();
+    let err = Regex::new(pattern).unwrap_err();
+    let elapsed = started.elapsed();
+    assert!(err.message.contains("exceeds the limit of 65536 instructions"), "{err}");
+    assert!(elapsed < std::time::Duration::from_millis(10), "{pattern} took {elapsed:?}");
+}
+
+#[test]
+fn a_million_instruction_pattern_is_refused() {
+    assert_size_refused("(a{1000}){1000}");
+}
+
+#[test]
+fn a_billion_instruction_pattern_is_refused() {
+    assert_size_refused("((a{1000}){1000}){1000}");
 }

@@ -13,15 +13,20 @@
 //! log ([`Collection::deltas_since`]) and patches the cached set
 //! incrementally — the query predicate is re-evaluated only against
 //! the records that actually changed. Three situations fall back to a
-//! full recompute, mirroring the push federation's gap→resync rule:
+//! full recompute:
 //!
 //! * the log reports a [`DeltaBatch::Gap`] (the bounded log already
 //!   dropped changes the cache needs),
 //! * deltas are off (or the epoch moved without new deltas, e.g. a
 //!   derived-attribute function was installed mid-flight),
-//! * the batch is large enough that patching would cost more than the
-//!   indexed recompute (see [`patch_budget`]; threshold measured in
-//!   EXPERIMENTS.md E-C10).
+//! * the batch is larger than the patch budget — a quarter of the
+//!   Collection, with a floor of 64 — beyond which patching costs more
+//!   than the indexed recompute (threshold measured in EXPERIMENTS.md
+//!   E-C10).
+//!
+//! While derived attributes are installed the cache steps aside and
+//! every serve is a plain query: their materialized views depend on
+//! injected functions the delta log knows nothing about.
 //!
 //! Correctness leans on two properties. First, every mutator bumps the
 //! generation *while still holding the store's write guard*, so a
@@ -49,7 +54,7 @@ use legion_collection::{parse_query, Collection, CollectionEpoch, DeltaBatch, De
 use legion_core::LegionError;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Patch only when the delta batch is smaller than this budget;
@@ -101,7 +106,6 @@ struct CacheEntry {
 /// module docs for the validation and patching protocol.
 pub struct CandidateCache {
     entries: RwLock<HashMap<String, Arc<CacheEntry>>>,
-    enabled: AtomicBool,
     hits: AtomicU64,
     patched: AtomicU64,
     misses: AtomicU64,
@@ -112,18 +116,10 @@ impl CandidateCache {
     pub(crate) fn new() -> Self {
         CandidateCache {
             entries: RwLock::new(HashMap::new()),
-            enabled: AtomicBool::new(true),
             hits: AtomicU64::new(0),
             patched: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             gap_resyncs: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-        if !on {
-            self.entries.write().clear();
         }
     }
 
@@ -157,10 +153,10 @@ impl CandidateCache {
         Ok(Arc::clone(&self.entry(text)?.query))
     }
 
-    /// Serves the candidate set for the query `text`. Falls
-    /// back to a plain query when the cache is disabled or derived
-    /// attributes are installed (materialized views cannot be patched
-    /// from the delta log). Every cached serve is accounted on the
+    /// Serves the candidate set for the query `text`. Falls back to a
+    /// plain query when derived attributes are installed (materialized
+    /// views cannot be patched from the delta log). Every cached serve
+    /// is accounted on the
     /// Collection as one query — hit and patched serves via
     /// [`Collection::note_cache_serve`], full recomputes via the query
     /// path itself with a `cache: miss` span attribute — so
@@ -172,7 +168,7 @@ impl CandidateCache {
     ) -> Result<Arc<Vec<Candidate>>, LegionError> {
         let entry = self.entry(text)?;
         let query = &*entry.query;
-        if !self.enabled.load(Ordering::Relaxed) || collection.has_derived() {
+        if collection.has_derived() {
             return Ok(Arc::new(compute(collection, query, false)));
         }
         let epoch = collection.epoch();

@@ -61,7 +61,7 @@ pub struct DriverReport {
 /// Drives a Scheduler against an Enactor with Fig. 9's retry loops.
 ///
 /// The driver *owns* shared handles to its scheduler and Enactor, so a
-/// long-lived service (the ingress [`FrontDoor`] most of all) builds
+/// long-lived service (the ingress `FrontDoor` most of all) builds
 /// one driver at construction and reuses it across every placement
 /// instead of wiring borrows per call.
 pub struct ScheduleDriver {

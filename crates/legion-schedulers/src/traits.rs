@@ -25,16 +25,9 @@ pub struct SchedCtx {
 }
 
 impl SchedCtx {
-    /// Creates a context (candidate caching on by default).
+    /// Creates a context with an empty candidate cache.
     pub fn new(fabric: Arc<Fabric>, collection: Arc<Collection>) -> Self {
         SchedCtx { fabric, collection, candidates: CandidateCache::new() }
-    }
-
-    /// Turns the candidate-set cache on or off (on by default).
-    /// Disabling also drops every cached set; schedulers then pay a
-    /// full Collection query per placement — the uncached baseline.
-    pub fn set_candidate_cache_enabled(&self, on: bool) {
-        self.candidates.set_enabled(on);
     }
 
     /// How the candidate cache has been serving (hits / patched /
@@ -66,7 +59,7 @@ impl SchedCtx {
     /// cache. The returned set is shared (an `Arc` clone on a hit, no
     /// per-record work at all), exact at the Collection epoch it was
     /// validated against, and sorted by member like every Collection
-    /// query result; policies place on the [`usable`] part of it.
+    /// query result; policies place on its [`Candidate::usable`] members.
     pub fn shared_candidates_for(
         &self,
         report: &ClassReport,
@@ -163,7 +156,7 @@ impl Candidate {
     }
 
     /// The mapping of one `class` instance onto this host and the first
-    /// vault it listed; for [`usable`] candidates.
+    /// vault it listed; for [`Self::usable`] candidates.
     pub fn mapping(&self, class: Loid) -> Mapping {
         Mapping::new(class, self.host, self.vaults[0])
     }

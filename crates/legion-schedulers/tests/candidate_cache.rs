@@ -1,10 +1,10 @@
 //! The epoch-validated candidate cache: delta-edge behaviour (touch-only
 //! churn, log gaps, deltas never enabled, oversized batches, hosts that
 //! lose and regain their vaults) and the bit-identical
-//! cached/patched/uncached equivalence property under arbitrary
+//! cached/patched/scanned equivalence property under arbitrary
 //! mutation interleavings.
 
-use legion_collection::{Collection, MemberCredential};
+use legion_collection::{parse_query, Collection, MemberCredential};
 use legion_core::host::well_known;
 use legion_core::{
     AttrValue, AttributeDb, ClassObject, ClassReport, LegionClass, LegionError, Loid, LoidKind,
@@ -18,6 +18,11 @@ use std::sync::Arc;
 /// Constraint used by every serve: memory values are multiples of 128,
 /// so upserts can flip records across the predicate boundary.
 const MEM_CONSTRAINT: &str = "$host_memory_mb >= 256";
+
+/// The query text `shared_candidates_for` builds from `report()` and
+/// `MEM_CONSTRAINT`.
+const SERVED_QUERY: &str =
+    r#"(($host_arch == "mips" and $host_os_name == "IRIX")) and ($host_memory_mb >= 256)"#;
 
 fn vault_loid() -> Loid {
     Loid::synthetic(LoidKind::Vault, 1)
@@ -62,11 +67,8 @@ fn report() -> ClassReport {
 
 struct Bed {
     collection: Arc<Collection>,
-    /// Cache-enabled context (the default).
+    /// The context whose cached serves are under test.
     cached: SchedCtx,
-    /// Cache-disabled context over the same Collection — the ground
-    /// truth every cached serve must match bit for bit.
-    uncached: SchedCtx,
     creds: Vec<MemberCredential>,
     fabric: Arc<Fabric>,
 }
@@ -87,32 +89,26 @@ fn bed(members: usize, delta_capacity: Option<usize>) -> Bed {
         })
         .collect();
     let cached = SchedCtx::new(Arc::clone(&fabric), Arc::clone(&collection));
-    let uncached = SchedCtx::new(Arc::clone(&fabric), Arc::clone(&collection));
-    uncached.set_candidate_cache_enabled(false);
-    Bed { collection, cached, uncached, creds, fabric }
+    Bed { collection, cached, creds, fabric }
 }
 
 fn serve(ctx: &SchedCtx) -> Arc<Vec<Candidate>> {
     ctx.shared_candidates_for(&report(), Some(MEM_CONSTRAINT)).expect("query compiles")
 }
 
-/// Asserts the cached context serves exactly what a full uncached query
-/// computes — same members, same attribute snapshots, same vault lists,
-/// same order — and that both are what the Collection itself answers
-/// to the same query text.
+/// Asserts the cached context serves exactly what a full scan of the
+/// Collection computes — same members, same attribute snapshots, same
+/// vault lists, same order — and that it is what the Collection's
+/// indexed query answers to the same text.
 fn assert_serves_match(bed: &Bed) {
     let cached = serve(&bed.cached);
-    let uncached = serve(&bed.uncached);
-    assert_eq!(*cached, *uncached, "cached serve diverged from ground-truth query");
-    let reference: Vec<Candidate> = bed
-        .collection
-        .query(&format!(
-            r#"(($host_arch == "mips" and $host_os_name == "IRIX")) and ({MEM_CONSTRAINT})"#
-        ))
-        .expect("query compiles")
-        .into_iter()
-        .map(Candidate::from_record)
-        .collect();
+    let candidates = |records: Vec<_>| -> Vec<Candidate> {
+        records.into_iter().map(Candidate::from_record).collect()
+    };
+    let query = parse_query(SERVED_QUERY).expect("query compiles");
+    let scanned = candidates(bed.collection.query_scan(&query));
+    assert_eq!(*cached, scanned, "cached serve diverged from the full scan");
+    let reference = candidates(bed.collection.query(SERVED_QUERY).expect("query compiles"));
     assert_eq!(*cached, reference, "served set is not the Collection's query result");
 }
 
@@ -254,8 +250,7 @@ fn patched_candidates_share_the_stored_records() {
 fn log_gap_forces_full_recompute() {
     // Capacity 8: churning 24 members overflows the bounded log, so the
     // cache's anchor falls off the front and `deltas_since` reports a
-    // gap — the patch path must give up and recompute (the same rule
-    // the push federation applies on gap→resync).
+    // gap — the patch path must give up and recompute.
     let bed = bed(24, Some(8));
     serve(&bed.cached);
     let t = SimTime::from_secs(9);
@@ -304,21 +299,6 @@ fn oversized_batches_recompute_instead_of_patching() {
     bed.collection.touch(&bed.creds[0], SimTime::from_secs(6)).unwrap();
     serve(&bed.cached);
     assert_eq!(bed.cached.candidate_cache_stats().patched, 1);
-    assert_serves_match(&bed);
-}
-
-#[test]
-fn disabling_the_cache_drops_state_and_serves_plain_queries() {
-    let bed = bed(16, Some(1024));
-    serve(&bed.cached);
-    serve(&bed.cached);
-    assert_eq!(bed.cached.candidate_cache_stats().hits, 1);
-    bed.cached.set_candidate_cache_enabled(false);
-    let a = serve(&bed.cached);
-    let b = serve(&bed.cached);
-    assert!(!Arc::ptr_eq(&a, &b), "disabled cache computes fresh sets");
-    let stats = bed.cached.candidate_cache_stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1), "disabled serves are unaccounted plain queries");
     assert_serves_match(&bed);
 }
 
@@ -443,7 +423,7 @@ proptest! {
     /// upserts (with and without vaults), touches, leaves and rejoins — across
     /// delta-log capacities (including none, forcing recomputes, and
     /// tiny, forcing gaps) — a cached serve is bit-identical to a full
-    /// uncached query at every observation point, and every serve a
+    /// scan at every observation point, and every serve a
     /// caller still holds is element for element what it was when
     /// taken, whether later patches ran in place or on a copy.
     #[test]

@@ -114,7 +114,7 @@ pub mod prelude {
         IngressSimReport, SimRebalanceReport, SimSoakConfig, SimSoakReport, TenantSpec, Testbed,
         TestbedConfig,
     };
-    pub use legion_collection::{Collection, DataCollectionDaemon, FederatedCollection};
+    pub use legion_collection::{Collection, DataCollectionDaemon};
     pub use legion_core::{
         AttrValue, AttributeDb, ClassObject, HostObject, LegionClass, LegionError, Loid,
         ObjectImplementation, PlacementContext, PlacementRequest, ReservationRequest,

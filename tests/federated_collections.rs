@@ -1,65 +1,39 @@
-//! Federated Collections across a multi-domain bed: per-domain
-//! Collections fed by one daemon, queried through the federation.
+//! Per-domain Collections across a multi-domain bed: one Collection per
+//! domain, each fed by a daemon tracking only that domain's hosts ("its
+//! known Collection(s)", §3.1). Locality comes from which Collection a
+//! query or a SchedCtx is pointed at.
 
-use legion::collection::{Collection, DataCollectionDaemon, FederatedCollection};
+use legion::collection::{Collection, DataCollectionDaemon};
+use legion::core::host::well_known;
 use legion::prelude::*;
 use std::sync::Arc;
 
-fn federated_bed() -> (Testbed, Arc<FederatedCollection>, Vec<Arc<Collection>>) {
+fn per_domain_bed() -> (Testbed, Vec<Arc<Collection>>) {
     let tb = Testbed::build(TestbedConfig::wide(3, 3, 314));
-    // One Collection per domain, each fed by its own daemon tracking
-    // only that domain's hosts — the locality partition a real
-    // federation would use.
-    let per_domain: Vec<Arc<Collection>> =
-        (0..3).map(|d| Collection::new(1000 + d)).collect();
-    let fed = FederatedCollection::new();
+    let per_domain: Vec<Arc<Collection>> = (0..3).map(|d| Collection::new(1000 + d)).collect();
     for (d, c) in per_domain.iter().enumerate() {
-        let dom_daemon = DataCollectionDaemon::new(Arc::clone(c));
+        let daemon = DataCollectionDaemon::new(Arc::clone(c));
         for h in tb.unix_hosts.iter().skip(d * 3).take(3) {
-            dom_daemon.track_host(Arc::clone(h) as Arc<dyn HostObject>);
+            daemon.track_host(Arc::clone(h) as Arc<dyn HostObject>);
         }
-        dom_daemon.pull_once(tb.fabric.clock().now());
-        fed.add_member(format!("site{d}.edu"), Arc::clone(c));
+        daemon.pull_once(tb.fabric.clock().now());
     }
-    (tb, fed, per_domain)
-}
-
-#[test]
-fn federation_fans_out_across_domains() {
-    let (_tb, fed, per_domain) = federated_bed();
-    assert_eq!(fed.member_count(), 3);
-    assert_eq!(fed.len(), 9);
-    for c in &per_domain {
-        assert_eq!(c.len(), 3, "each domain collection holds its own hosts");
-    }
-
-    // A federated query hits all domains and tags origins.
-    let hits = fed.query(r#"match($host_os_name, "IRIX")"#).unwrap();
-    assert_eq!(hits.len(), 9);
-    let origins: std::collections::BTreeSet<&str> =
-        hits.iter().map(|h| h.origin.as_str()).collect();
-    assert_eq!(origins.len(), 3);
-
-    // Records carry the right domain attribute for their origin.
-    for h in &hits {
-        assert_eq!(
-            h.record.attrs.get_str(legion::core::host::well_known::DOMAIN),
-            Some(h.origin.as_str())
-        );
-    }
+    (tb, per_domain)
 }
 
 #[test]
 fn locality_scoped_query_sees_only_one_domain() {
-    let (tb, fed, _) = federated_bed();
-    let local = fed.query_member("site1.edu", "$host_load >= 0.0").unwrap();
+    let (tb, per_domain) = per_domain_bed();
+    let local = per_domain[1].query("$host_load >= 0.0").unwrap();
     assert_eq!(local.len(), 3);
     for r in &local {
         assert_eq!(tb.fabric.domain_of(r.member), DomainId(1));
+        assert_eq!(r.attrs.get_str(well_known::DOMAIN), Some("site1.edu"));
     }
-    // locate() finds the owning member for any host.
+    // A host is held by its own domain's Collection and no other.
     let some_host = tb.unix_hosts[7].loid(); // domain 2
-    assert_eq!(fed.locate(some_host).as_deref(), Some("site2.edu"));
+    let owners: Vec<usize> = (0..3).filter(|&d| per_domain[d].get(some_host).is_some()).collect();
+    assert_eq!(owners, vec![2]);
 }
 
 #[test]
@@ -67,11 +41,10 @@ fn scheduler_over_a_single_federation_member() {
     use legion::schedulers::{RandomScheduler, SchedCtx};
     // A locality-aware application schedules strictly within its home
     // domain by pointing its SchedCtx at that domain's Collection.
-    let (tb, _, per_domain) = federated_bed();
+    let (tb, per_domain) = per_domain_bed();
     let class = tb.register_class("local-app", 25, 64);
     let ctx = SchedCtx::new(Arc::clone(&tb.fabric), Arc::clone(&per_domain[2]));
-    let scheduler = RandomScheduler::new(8);
-    let sched = scheduler
+    let sched = RandomScheduler::new(8)
         .compute_schedule(&PlacementRequest::new().class(class, 3), &ctx)
         .unwrap();
     for m in &sched.schedules[0].master.mappings {
@@ -79,6 +52,5 @@ fn scheduler_over_a_single_federation_member() {
     }
     // And it enacts.
     let enactor = Enactor::new(tb.fabric.clone());
-    let fb = enactor.make_reservations(&sched);
-    assert!(fb.reserved());
+    assert!(enactor.make_reservations(&sched).reserved());
 }
