@@ -20,7 +20,7 @@
 //!
 //! Records and their secondary indexes live in one store behind one
 //! lock, so the two can never drift apart and every attribute value is
-//! interned, with its trigram postings, once. Concurrency lives in
+//! interned once, its id posted once under each distinct trigram. Concurrency lives in
 //! virtual time on one event queue; the lock only lets callers share
 //! the collection through an `Arc`. Every multi-record result is in
 //! member order as it is built: the record map walks in member order,

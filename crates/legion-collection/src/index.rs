@@ -12,9 +12,9 @@
 //! * a per-attribute **trigram index** over the attribute's *distinct
 //!   values* (not its members), serving substring probes for patterns
 //!   that force a literal into every match: candidate values are found
-//!   by trigram intersection, verified with a real `contains`, then
-//!   expanded to members through the string index — so the probe is
-//!   exact, and its memory cost scales with value cardinality, not
+//!   by intersecting sorted id postings, verified with a real `contains`,
+//!   then expanded to members through the string index — so the probe
+//!   is exact, and its memory cost scales with value cardinality, not
 //!   record count,
 //! * a per-attribute **numeric index** (sorted over a total order on
 //!   `f64`, serving `<`, `<=`, `>`, `>=`, `==` ranges with the same
@@ -23,11 +23,10 @@
 //!   above: it stores only the members whose value no value index holds
 //!   (booleans, lists, `NaN`).
 //!
-//! Every index maps a key to a bucket of members: a key held by one
-//! member — a host's name or LOID text, a trigram of one value — costs
-//! that member inline, and only a shared key keeps a `BTreeSet`. Value
-//! texts are the records' own `Arc<str>`s, shared with the store, not
-//! copied.
+//! Every value index maps a key to a bucket of members: a key held by
+//! one member — a host's name — costs that member inline, and only a
+//! shared key keeps a `BTreeSet`. Value texts are the records' own
+//! `Arc<str>`s, shared with the store, not copied.
 //!
 //! Indexes are maintained incrementally on join/update/replace/leave/
 //! evict under the same lock as the record map, so they can never
@@ -92,16 +91,15 @@ impl Ord for NumKey {
 
 /// The members under one key. One member is stored inline; several
 /// keep a set, so churn on a widely shared key stays O(log n). The set
-/// is boxed so that a bucket is no wider than its member — a posting
-/// of `u32` value ids takes 16 bytes, not 32. Never empty.
+/// is boxed so that a bucket is one `Loid` wide. Never empty.
 #[derive(Debug)]
-enum Bucket<T> {
-    One(T),
+enum Bucket {
+    One(Loid),
     #[allow(clippy::box_collection)] // the width, explained above
-    Many(Box<BTreeSet<T>>),
+    Many(Box<BTreeSet<Loid>>),
 }
 
-impl<T: Ord + Copy> Bucket<T> {
+impl Bucket {
     fn len(&self) -> usize {
         match self {
             Bucket::One(_) => 1,
@@ -109,15 +107,8 @@ impl<T: Ord + Copy> Bucket<T> {
         }
     }
 
-    fn contains(&self, m: &T) -> bool {
-        match self {
-            Bucket::One(x) => x == m,
-            Bucket::Many(set) => set.contains(m),
-        }
-    }
-
     /// The members, sorted.
-    fn members(&self) -> impl Iterator<Item = T> + '_ {
+    fn members(&self) -> impl Iterator<Item = Loid> + '_ {
         let (one, many) = match self {
             Bucket::One(m) => (Some(*m), None),
             Bucket::Many(set) => (None, Some(&**set)),
@@ -126,7 +117,7 @@ impl<T: Ord + Copy> Bucket<T> {
     }
 
     /// Adds `m`; whether it was new.
-    fn insert(&mut self, m: T) -> bool {
+    fn insert(&mut self, m: Loid) -> bool {
         match self {
             Bucket::One(x) if *x == m => false,
             Bucket::One(x) => {
@@ -139,7 +130,7 @@ impl<T: Ord + Copy> Bucket<T> {
 
     /// Removes `m`. A bucket is never left empty: when `m` is its last
     /// member it stays as it is and the caller drops it.
-    fn remove(&mut self, m: T) -> Removal {
+    fn remove(&mut self, m: Loid) -> Removal {
         match self {
             Bucket::One(x) if *x == m => Removal::Last,
             Bucket::One(_) => Removal::Absent,
@@ -168,7 +159,7 @@ enum Removal {
 
 /// Adds `member` under `key`. Returns whether it is new there, and
 /// whether the key is.
-fn add_member<K: Ord>(map: &mut BTreeMap<K, Bucket<Loid>>, key: K, member: Loid) -> (bool, bool) {
+fn add_member<K: Ord>(map: &mut BTreeMap<K, Bucket>, key: K, member: Loid) -> (bool, bool) {
     match map.entry(key) {
         Entry::Vacant(slot) => {
             slot.insert(Bucket::One(member));
@@ -180,7 +171,7 @@ fn add_member<K: Ord>(map: &mut BTreeMap<K, Bucket<Loid>>, key: K, member: Loid)
 
 /// Removes `member` from under `key`. Returns whether it was there, and
 /// whether the key went with it.
-fn remove_member<K, Q>(map: &mut BTreeMap<K, Bucket<Loid>>, key: &Q, member: Loid) -> (bool, bool)
+fn remove_member<K, Q>(map: &mut BTreeMap<K, Bucket>, key: &Q, member: Loid) -> (bool, bool)
 where
     K: Ord + Borrow<Q>,
     Q: Ord + ?Sized,
@@ -208,8 +199,8 @@ fn named<'a, V: Default>(map: &'a mut HashMap<String, V>, name: &str) -> &'a mut
 /// Trigram postings over an attribute's distinct string values.
 ///
 /// Values are interned to dense ids when their first member appears and
-/// released when their last member leaves; each posting list maps a
-/// 3-byte window to the ids of values containing it.
+/// released when their last member leaves. New ids rise, so posting a
+/// new value is a `push`; only an id reused from `free` is searched in.
 #[derive(Debug, Default)]
 struct TrigramIndex {
     /// Live value → interned id.
@@ -217,16 +208,20 @@ struct TrigramIndex {
     /// Interned id → value (candidate verification needs the text);
     /// `None` while the id waits in `free`.
     values: Vec<Option<Arc<str>>>,
-    /// 3-byte window → ids of values containing it.
-    grams: HashMap<[u8; 3], Bucket<u32>>,
+    /// 3-byte window → ids of values containing it, strictly increasing.
+    grams: HashMap<[u8; 3], Vec<u32>>,
     /// Ids released by values that left, handed out again before
     /// `values` grows: ids stay below the most distinct values ever
     /// live at once, so a new value never takes a live value's id.
     free: Vec<u32>,
 }
 
-fn trigrams(value: &str) -> impl Iterator<Item = [u8; 3]> + '_ {
-    value.as_bytes().windows(3).map(|w| [w[0], w[1], w[2]])
+/// The distinct 3-byte windows of `value`, sorted.
+fn trigrams(value: &str) -> Vec<[u8; 3]> {
+    let mut grams: Vec<_> = value.as_bytes().windows(3).map(|w| [w[0], w[1], w[2]]).collect();
+    grams.sort_unstable();
+    grams.dedup();
+    grams
 }
 
 impl TrigramIndex {
@@ -244,12 +239,12 @@ impl TrigramIndex {
         };
         self.ids.insert(Arc::clone(value), id);
         for g in trigrams(value) {
-            self.grams
-                .entry(g)
-                .and_modify(|postings| {
-                    postings.insert(id);
-                })
-                .or_insert(Bucket::One(id));
+            let posting = self.grams.entry(g).or_default();
+            if posting.last().is_none_or(|&last| last < id) {
+                posting.push(id);
+            } else if let Err(at) = posting.binary_search(&id) {
+                posting.insert(at, id);
+            }
         }
     }
 
@@ -258,8 +253,11 @@ impl TrigramIndex {
         self.values[id as usize] = None;
         self.free.push(id);
         for g in trigrams(value) {
-            if let Some(postings) = self.grams.get_mut(&g) {
-                if let Removal::Last = postings.remove(id) {
+            if let Some(posting) = self.grams.get_mut(&g) {
+                if let Ok(at) = posting.binary_search(&id) {
+                    posting.remove(at);
+                }
+                if posting.is_empty() {
                     self.grams.remove(&g);
                 }
             }
@@ -270,19 +268,20 @@ impl TrigramIndex {
     /// verification against the actual value text (so the result is
     /// exact, not a superset). `needle` must be at least 3 bytes.
     fn candidate_values(&self, needle: &str) -> Vec<u32> {
-        let mut posting_sets: Vec<&Bucket<u32>> = Vec::new();
+        let mut postings: Vec<&[u32]> = Vec::new();
         for g in trigrams(needle) {
             match self.grams.get(&g) {
-                Some(set) => posting_sets.push(set),
+                Some(posting) => postings.push(posting),
                 None => return Vec::new(),
             }
         }
-        let Some(smallest) = posting_sets.iter().min_by_key(|s| s.len()) else {
+        let Some(smallest) = postings.iter().min_by_key(|p| p.len()) else {
             return Vec::new();
         };
         smallest
-            .members()
-            .filter(|id| posting_sets.iter().all(|s| s.contains(id)))
+            .iter()
+            .copied()
+            .filter(|id| postings.iter().all(|p| p.binary_search(id).is_ok()))
             .filter(|&id| self.value(id).contains(needle))
             .collect()
     }
@@ -297,7 +296,7 @@ impl TrigramIndex {
 /// postings over the distinct values, plus the member total.
 #[derive(Debug, Default)]
 struct StringIndex {
-    by_val: BTreeMap<Arc<str>, Bucket<Loid>>,
+    by_val: BTreeMap<Arc<str>, Bucket>,
     trigrams: TrigramIndex,
     /// Members indexed under this attribute (sum of bucket sizes).
     total: usize,
@@ -305,7 +304,7 @@ struct StringIndex {
 
 impl StringIndex {
     /// Buckets whose value starts with `prefix`, in value order.
-    fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a Bucket<Loid>> + 'a {
+    fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a Bucket> + 'a {
         self.by_val
             .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(value, _)| value.starts_with(prefix))
@@ -314,7 +313,7 @@ impl StringIndex {
 
     /// Buckets whose value's first character lies in `lo..=hi`, in
     /// value order.
-    fn first_in(&self, lo: char, hi: char) -> impl Iterator<Item = &Bucket<Loid>> + '_ {
+    fn first_in(&self, lo: char, hi: char) -> impl Iterator<Item = &Bucket> + '_ {
         let mut buf = [0u8; 4];
         let from: &str = lo.encode_utf8(&mut buf);
         self.by_val
@@ -322,13 +321,20 @@ impl StringIndex {
             .take_while(move |(value, _)| value.chars().next().is_some_and(|c| c <= hi))
             .map(|(_, bucket)| bucket)
     }
+
+    /// Buckets whose value contains `needle` (at least 3 bytes), found
+    /// through the trigram postings.
+    fn containing<'a>(&'a self, needle: &str) -> impl Iterator<Item = &'a Bucket> + 'a {
+        let ids = self.trigrams.candidate_values(needle);
+        ids.into_iter().filter_map(|id| self.by_val.get(self.trigrams.value(id)))
+    }
 }
 
 /// One attribute's numeric index: sorted value buckets plus the member
 /// total, so a full-covering range estimates in O(log n).
 #[derive(Debug, Default)]
 struct NumericIndex {
-    by_val: BTreeMap<NumKey, Bucket<Loid>>,
+    by_val: BTreeMap<NumKey, Bucket>,
     total: usize,
 }
 
@@ -352,6 +358,11 @@ fn sorted_dedup(mut v: Vec<Loid>) -> Vec<Loid> {
     v
 }
 
+/// The members of `buckets`, sorted, each once.
+fn members_of<'a>(buckets: impl Iterator<Item = &'a Bucket>) -> Vec<Loid> {
+    sorted_dedup(buckets.flat_map(Bucket::members).collect())
+}
+
 /// Linear-merge intersection of two sorted member lists.
 pub fn intersect_sorted(a: &[Loid], b: &[Loid]) -> Vec<Loid> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
@@ -372,14 +383,11 @@ pub fn intersect_sorted(a: &[Loid], b: &[Loid]) -> Vec<Loid> {
 
 /// Union of several sorted member lists, sorted and deduplicated.
 pub fn union_sorted(parts: Vec<Vec<Loid>>) -> Vec<Loid> {
-    let mut all: Vec<Loid> = parts.into_iter().flatten().collect();
-    all.sort_unstable();
-    all.dedup();
-    all
+    sorted_dedup(parts.into_iter().flatten().collect())
 }
 
 /// Sums bucket sizes, stopping at `cap`.
-fn capped_sum<'a>(buckets: impl Iterator<Item = &'a Bucket<Loid>>, cap: usize) -> usize {
+fn capped_sum<'a>(buckets: impl Iterator<Item = &'a Bucket>, cap: usize) -> usize {
     let mut sum = 0usize;
     for bucket in buckets {
         sum += bucket.len();
@@ -503,13 +511,7 @@ impl AttributeIndexes {
 
     /// Members whose `attr` is a string starting with `prefix`, sorted.
     pub fn lookup_str_prefix(&self, attr: &str, prefix: &str) -> Vec<Loid> {
-        let mut out = Vec::new();
-        if let Some(si) = self.strings.get(attr) {
-            for bucket in si.with_prefix(prefix) {
-                out.extend(bucket.members());
-            }
-        }
-        sorted_dedup(out)
+        self.strings.get(attr).map_or_else(Vec::new, |si| members_of(si.with_prefix(prefix)))
     }
 
     /// Members whose `attr` is a string containing `needle`, sorted.
@@ -520,34 +522,18 @@ impl AttributeIndexes {
     /// `contains`, so the result is exact, not a superset.
     pub fn lookup_str_contains(&self, attr: &str, needle: &str) -> Vec<Loid> {
         let Some(si) = self.strings.get(attr) else { return Vec::new() };
-        let mut out = Vec::new();
         if needle.len() >= 3 {
-            for id in si.trigrams.candidate_values(needle) {
-                if let Some(bucket) = si.by_val.get(si.trigrams.value(id)) {
-                    out.extend(bucket.members());
-                }
-            }
+            members_of(si.containing(needle))
         } else {
-            for (value, bucket) in si.by_val.iter() {
-                if value.contains(needle) {
-                    out.extend(bucket.members());
-                }
-            }
+            members_of(si.by_val.iter().filter(|(value, _)| value.contains(needle)).map(|(_, b)| b))
         }
-        sorted_dedup(out)
     }
 
     /// Members whose `attr` is a string whose first character falls in
     /// any of `ranges` (inclusive), sorted.
     pub fn lookup_str_first_ranges(&self, attr: &str, ranges: &[(char, char)]) -> Vec<Loid> {
         let Some(si) = self.strings.get(attr) else { return Vec::new() };
-        let mut out = Vec::new();
-        for &(lo, hi) in ranges {
-            for bucket in si.first_in(lo, hi) {
-                out.extend(bucket.members());
-            }
-        }
-        sorted_dedup(out)
+        members_of(ranges.iter().flat_map(|&(lo, hi)| si.first_in(lo, hi)))
     }
 
     /// Members whose `attr` is numeric and inside `(lo, hi)`, sorted.
@@ -556,28 +542,16 @@ impl AttributeIndexes {
             // A NaN bound can never be satisfied.
             return Vec::new();
         };
-        let mut out = Vec::new();
-        if let Some(ni) = self.numbers.get(attr) {
-            for (_, bucket) in ni.by_val.range((lo, hi)) {
-                out.extend(bucket.members());
-            }
-        }
-        sorted_dedup(out)
+        let Some(ni) = self.numbers.get(attr) else { return Vec::new() };
+        members_of(ni.by_val.range((lo, hi)).map(|(_, bucket)| bucket))
     }
 
     /// Members carrying `attr` at all, sorted.
     pub fn lookup_exists(&self, attr: &str) -> Vec<Loid> {
-        let mut out = Vec::new();
-        if let Some(si) = self.strings.get(attr) {
-            out.extend(si.by_val.values().flat_map(Bucket::members));
-        }
-        if let Some(ni) = self.numbers.get(attr) {
-            out.extend(ni.by_val.values().flat_map(Bucket::members));
-        }
-        if let Some(set) = self.unindexed.get(attr) {
-            out.extend(set.iter().copied());
-        }
-        sorted_dedup(out)
+        let strings = self.strings.get(attr).into_iter().flat_map(|si| si.by_val.values());
+        let numbers = self.numbers.get(attr).into_iter().flat_map(|ni| ni.by_val.values());
+        let unindexed = self.unindexed.get(attr).into_iter().flatten().copied();
+        sorted_dedup(strings.chain(numbers).flat_map(Bucket::members).chain(unindexed).collect())
     }
 
     /// Hit count of [`Self::lookup_str_eq`] without materializing it.
@@ -610,8 +584,7 @@ impl AttributeIndexes {
         if needle.len() < 3 {
             return si.total.min(cap);
         }
-        let ids = si.trigrams.candidate_values(needle);
-        capped_sum(ids.iter().filter_map(|&id| si.by_val.get(si.trigrams.value(id))), cap)
+        capped_sum(si.containing(needle), cap)
     }
 
     /// Hit count of [`Self::lookup_str_first_ranges`], saturating at
@@ -878,6 +851,32 @@ mod tests {
     }
 
     #[test]
+    fn a_reused_low_id_lands_in_order_beside_a_high_one() {
+        let name = |v: &str| AttributeDb::new().with("name", v);
+        let shared = |m: u64| name(if m == 3 { "zz-shared" } else { "yy-shared" });
+        for gone_first in [3, 4] {
+            let mut idx = AttributeIndexes::default();
+            for (m, v) in [(1, "aa-gone"), (2, "bb-kept"), (3, "zz-shared")] {
+                idx.insert(l(m), &name(v));
+            }
+            // Id 0 is released, then taken by a value that shares every
+            // gram of "-shared" with id 2's.
+            idx.remove(l(1), &name("aa-gone"));
+            idx.insert(l(4), &shared(4));
+            let ids = &idx.strings["name"].trigrams.ids;
+            assert_eq!((ids["yy-shared"], ids["zz-shared"]), (0, 2));
+            idx.canonical();
+            assert_eq!(idx.lookup_str_contains("name", "-shared"), ls(&[3, 4]));
+            let kept = 7 - gone_first;
+            idx.remove(l(gone_first), &shared(gone_first));
+            assert_eq!(idx.lookup_str_contains("name", "-shared"), ls(&[kept]));
+            idx.remove(l(kept), &shared(kept));
+            assert_eq!(idx.lookup_str_contains("name", "-shared"), Vec::<Loid>::new());
+            assert_eq!(idx.lookup_str_contains("name", "-kept"), ls(&[2]));
+        }
+    }
+
+    #[test]
     fn sorted_merge_helpers() {
         let a = ls(&[1, 2, 3, 5]);
         let b = ls(&[2, 3, 4]);
@@ -910,11 +909,11 @@ mod tests {
                 for &id in &t.free {
                     assert!(t.values[id as usize].is_none(), "{name}: free id {id} is live");
                 }
-                for (gram, postings) in &t.grams {
-                    let mut texts: Vec<&str> = postings.members().map(|id| t.value(id)).collect();
+                for (gram, posting) in &t.grams {
+                    assert!(posting.windows(2).all(|w| w[0] < w[1]), "{name} {gram:?} {posting:?}");
+                    let mut texts: Vec<&str> = posting.iter().map(|&id| t.value(id)).collect();
                     texts.sort_unstable();
-                    let kind = if let Bucket::One(_) = postings { "one" } else { "many" };
-                    out.push(format!("{name} gram {gram:?} {kind} {texts:?}"));
+                    out.push(format!("{name} gram {gram:?} {texts:?}"));
                 }
             }
             for (name, ni) in &self.numbers {

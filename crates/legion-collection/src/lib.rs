@@ -19,8 +19,8 @@
 //!   one Collection per administrative domain realizes the paper's
 //!   plural "known Collection(s)".
 //! * Queries run on an indexed engine: secondary per-attribute indexes
-//!   (string, trigram, numeric, presence) maintained incrementally on
-//!   every membership change, and a planner that extracts indexable
+//!   (string, sorted trigram postings, numeric, presence) kept current
+//!   on every membership change, and a planner that extracts indexable
 //!   conjuncts (string equality, numeric ranges, `exists()`, and regex
 //!   `match()` via prefix, trigram, and leading-char-class narrowing)
 //!   so selective queries intersect sorted candidate lists instead of

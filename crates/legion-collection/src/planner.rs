@@ -12,8 +12,8 @@
 //!   [`legion_regex::analyze`] derives from its AST: a fully anchored
 //!   literal (`^IRIX$`) becomes an equality probe, an anchored prefix
 //!   (`^5\.`) a prefix probe, a mandatory substring (`RIX`, `.*nux.*`)
-//!   a trigram-index probe, and a leading character class (`^[A-Z]...`)
-//!   a first-character range probe.
+//!   an intersection of sorted trigram postings, and a leading character
+//!   class (`^[A-Z]...`) a first-character range probe.
 //!
 //! Everything else — negation, `contains()`, attribute-sourced
 //! patterns, alternation-topped patterns, string ordering, `!=`,
@@ -62,7 +62,7 @@ pub enum IndexPredicate {
         prefix: String,
     },
     /// `match()` whose pattern forces `needle` into every match —
-    /// served by the trigram index over distinct values.
+    /// served by the sorted trigram postings of distinct values.
     StrContains {
         /// The indexed attribute.
         attr: String,

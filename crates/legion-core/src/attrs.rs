@@ -165,7 +165,7 @@ impl<T: Into<AttrValue>> From<Vec<T>> for AttrValue {
 
 /// The names stored as a one-byte index instead of an allocation: the
 /// host attributes every record carries.
-const KNOWN_NAMES: [&str; 18] = [
+const KNOWN_NAMES: [&str; 17] = [
     well_known::OS_NAME,
     well_known::OS_VERSION,
     well_known::ARCH,
@@ -183,7 +183,6 @@ const KNOWN_NAMES: [&str; 18] = [
     well_known::COMPATIBLE_VAULTS,
     well_known::HOST_NAME,
     well_known::DRAINING,
-    well_known::HOST_LOID,
 ];
 
 /// An attribute name. Every string has exactly one representation — a

@@ -70,8 +70,6 @@ pub mod well_known {
     pub const HOST_NAME: &str = "host_name";
     /// Whether the host is draining for an administrative shutdown.
     pub const DRAINING: &str = "host_draining";
-    /// The host's own LOID, as text.
-    pub const HOST_LOID: &str = "host_loid";
 }
 
 /// Status returned by `check_reservation()`.

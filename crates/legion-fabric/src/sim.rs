@@ -1,9 +1,9 @@
 //! Deterministic discrete-event scheduler for whole-system simulation.
 //!
-//! The scoped-thread concurrency of PR 4 is honest but caps experiments
+//! Scoped-thread concurrency is honest but caps experiments
 //! at dozens of in-flight episodes: every concurrent message needs an OS
 //! thread, and timing-sensitive scenarios lean on wall-clock sleeps. This
-//! module supplies the GridSim-style substrate from ROADMAP item 2: a
+//! module supplies a GridSim-style discrete-event substrate instead: a
 //! single event queue ordered by `(sim_time, seq)` where message latency,
 //! fault-plan firings, daemon ticks, and backoff sleeps are all *events*
 //! — latency becomes event reordering, not sleeping — so thousands of
@@ -55,12 +55,13 @@
 //! # Replay on failure
 //!
 //! Every executed event is appended to a schedule log that keeps the
-//! last [`LOG_CAPACITY`] records and a digest of all of them, so a long
-//! run's memory does not grow with the events it has executed. A panic
-//! inside a task or Run closure aborts the run and [`SimHandle::run`]
-//! returns a [`SimError`] carrying the formatted tail of that log — a
-//! failing seed reprints its event schedule, so the interleaving that
-//! broke is right in the test output. See `docs/simulation.md`.
+//! last `LOG_CAPACITY` (1,024) records and a digest of all of them, so
+//! a long run's memory does not grow with the events it has executed.
+//! A panic inside a task or Run closure aborts the run and
+//! [`SimHandle::run`] returns a [`SimError`] carrying the formatted tail
+//! of that log — a failing seed reprints its event schedule, so the
+//! interleaving that broke is right in the test output. See
+//! `docs/simulation.md`.
 
 use crate::clock::VirtualClock;
 use legion_core::hash::KeyedTag;
@@ -514,8 +515,8 @@ impl SimHandle {
 
     /// Formats the last `tail` entries of the executed event schedule —
     /// the replay transcript printed when a seeded run fails. The log
-    /// keeps the last [`LOG_CAPACITY`] entries; earlier ones are counted
-    /// in the elision line.
+    /// keeps the last `LOG_CAPACITY` (1,024) entries; earlier ones are
+    /// counted in the elision line.
     pub fn format_schedule(&self, tail: usize) -> String {
         format_schedule_locked(&self.lock(), tail)
     }

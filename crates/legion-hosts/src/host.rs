@@ -229,7 +229,6 @@ impl StandardHost {
             .with(well_known::PRICE_PER_CPU_SEC, config.price_per_cpu_sec as i64)
             .with(well_known::WILLINGNESS, config.willingness)
             .with(well_known::FLAVOR, "unix")
-            .with(well_known::HOST_LOID, loid.to_string())
             .with(well_known::COMPATIBLE_VAULTS, AttrValue::List(Vec::new()));
         let host = StandardHost {
             loid,

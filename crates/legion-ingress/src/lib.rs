@@ -3,9 +3,9 @@
 //! Legion's hosts are autonomous arbiters of their own resources
 //! (paper §2.1) — but the *system* needs one too: without a front door,
 //! any caller can drive [`ScheduleDriver::place`] directly and
-//! monopolise the Enactor tier. This crate is the in-process ingress
-//! layer of ROADMAP item 3, the broker shape Nimrod/G puts one level up
-//! from this paper's world:
+//! monopolise the Enactor tier. This crate is that front door, an
+//! in-process ingress layer in the broker shape Nimrod/G puts one level
+//! up from this paper's world:
 //!
 //! * **Identity** — callers are registered [`TenantId`]s, each in a
 //!   [`PriorityClass`] that sets its fair-use envelope.
