@@ -933,11 +933,14 @@ mod tests {
     /// Values with every equality edge the walk relies on: a shared
     /// string (one `Arc` cloned), strings rebuilt from equal text
     /// (equal, not pointer-equal), unique strings, `Int(1)` beside
-    /// `Float(1.0)`, both zeros, `NaN`, bools and lists.
+    /// `Float(1.0)`, both zeros, `NaN`, bools and lists. The `site` names
+    /// share grams and are common and many, so a value that leaves often
+    /// frees an id below a live one, and the next new value reuses it.
     fn arb_value() -> impl Strategy<Value = AttrValue> {
         prop_oneof![
             Just(AttrValue::from("IRIX")),
-            (0u32..3).prop_map(|n| AttrValue::from(format!("site{n}.edu"))),
+            (0u32..12).prop_map(|n| AttrValue::from(format!("site{n}.edu"))),
+            (0u32..12).prop_map(|n| AttrValue::from(format!("site{n}.edu"))),
             (0u32..10_000).prop_map(|n| AttrValue::from(format!("u0-{n}"))),
             Just(AttrValue::Int(1)),
             Just(AttrValue::Float(1.0)),
@@ -957,6 +960,8 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
         /// Moving members through random records one `reindex` at a time
         /// leaves the indexes exactly as inserting every member's
         /// current record into an empty set does.

@@ -469,7 +469,9 @@ impl HostObject for StandardHost {
     ) -> Result<Vec<Loid>, LegionError> {
         let span = self.start_span();
         span.attr("host", self.config.name.as_str());
-        span.attr("class", token.class.to_string());
+        if span.is_recording() {
+            span.attr("class", token.class.to_string());
+        }
         span.attr("specs", specs.len() as i64);
         let result = (|| -> Result<Vec<Loid>, LegionError> {
         self.ensure_up()?;
@@ -706,12 +708,12 @@ impl HostObject for StandardHost {
                 detail: attrs.clone(),
             });
         }
-        for tok in expired {
+        for serial in expired {
             events.push(Event {
                 kind: EventKind::ReservationExpired,
                 source: self.loid,
                 at: now,
-                detail: AttributeDb::new().with("reservation_serial", tok.serial as i64),
+                detail: AttributeDb::new().with("reservation_serial", serial as i64),
             });
         }
 

@@ -22,18 +22,22 @@
 //!   presented with the StartObject() call" (§3.1).
 //!
 //! The table keeps what holds resources apart from what is only
-//! remembered. A *live* entry (pending, confirmed or consumed) keeps its
-//! whole token in a serial-ordered list; serials are minted in
-//! increasing order, so a grant appends. A *dead* reservation (cancelled,
-//! lapsed or released) shrinks to its fate, which is all `check`,
-//! `consume` and `cancel` read of it: two bits in a bitmap over the
-//! serials minted since the last autocompaction, or, for a token that was
-//! live at that compaction, one word in a short sorted list. So what a
-//! table remembers is bounded by what it held at its last compaction and
-//! has minted since, not by how many reservations it has served. `sweep`
-//! walks only the live list, and a watermark — the earliest instant any
-//! live entry can lapse — lets a sweep with nothing due return without
-//! walking at all.
+//! remembered. A *live* entry (pending, confirmed or consumed) keeps, in
+//! 48 bytes, what admission, expiry and confirmation read of its token:
+//! serial, window, deadline, demand, type bits and state. A presented
+//! token vouches for itself by its keyed tag, so the table keeps no copy
+//! of it; its host is the table's own, and its vault and class are read
+//! from the token presented. Live entries sit in a serial-ordered list;
+//! serials are minted in increasing order, so a grant appends. A *dead*
+//! reservation (cancelled, lapsed or released) shrinks to its fate,
+//! which is all `check`, `consume` and `cancel` read of it: two bits in
+//! a bitmap over the serials minted since the last autocompaction, or,
+//! for a token that was live at that compaction, one word in a short
+//! sorted list. So what a table remembers is bounded by what it held at
+//! its last compaction and has minted since, not by how many
+//! reservations it has served. `sweep` walks only the live list, and a
+//! watermark — the earliest instant any live entry can lapse — lets a
+//! sweep with nothing due return without walking at all.
 //!
 //! Admission and `held_at` walk no entry. The table keeps what its live
 //! entries hold (how many, how many unshared, their CPU and memory) as a
@@ -72,22 +76,48 @@ enum EntryState {
     Consumed,
 }
 
-/// A reservation that holds resources.
-#[derive(Debug, Clone)]
+/// A reservation that holds resources: what the table reads of its
+/// token.
+#[derive(Debug, Clone, Copy)]
 struct Entry {
-    token: ReservationToken,
+    serial: u64,
+    start: SimTime,
+    end: SimTime,
+    /// Confirmation deadline of an instantaneous reservation, `NEVER`
+    /// for none.
+    deadline: SimTime,
+    cpu_centis: u32,
+    memory_mb: u32,
     state: EntryState,
+    share: bool,
+    reuse: bool,
 }
 
+const _: () = assert!(size_of::<Entry>() == 48);
+
 impl Entry {
+    /// The entry of a token just granted.
+    fn granted(token: &ReservationToken) -> Entry {
+        Entry {
+            serial: token.serial,
+            start: token.start,
+            end: token.end(),
+            deadline: token.confirm_by.unwrap_or(NEVER),
+            cpu_centis: token.cpu_centis,
+            memory_mb: token.memory_mb,
+            state: EntryState::Pending,
+            share: token.rtype.share,
+            reuse: token.rtype.reuse,
+        }
+    }
+
     /// The first instant at which a sweep expires this entry: its
     /// confirmation deadline (or window end, if sooner) while it awaits
     /// confirmation, its window end once confirmed or consumed.
     fn lapses_at(&self) -> SimTime {
-        let end = self.token.end();
-        match (self.state, self.token.confirm_by) {
-            (EntryState::Pending, Some(deadline)) => deadline.min(end),
-            _ => end,
+        match self.state {
+            EntryState::Pending => self.deadline.min(self.end),
+            _ => self.end,
         }
     }
 }
@@ -169,7 +199,8 @@ impl Fates {
     }
 }
 
-/// The watermark of a table with no live entries.
+/// The watermark of a table with no live entries, and the deadline of
+/// an entry that has none.
 const NEVER: SimTime = SimTime(u64::MAX);
 
 /// What a set of live entries holds.
@@ -183,12 +214,12 @@ struct Held {
 }
 
 impl Held {
-    fn of(token: &ReservationToken) -> Held {
+    fn of(e: &Entry) -> Held {
         Held {
             count: 1,
-            unshared: u32::from(!token.rtype.share),
-            cpu: token.cpu_centis.into(),
-            mem: token.memory_mb.into(),
+            unshared: u32::from(!e.share),
+            cpu: e.cpu_centis.into(),
+            mem: e.memory_mb.into(),
         }
     }
 
@@ -268,7 +299,7 @@ impl ReservationTable {
         self.autocompact();
         let start = req.start.unwrap_or(now);
         let end = start + req.duration;
-        let host = self.minter_host();
+        let host = self.host;
 
         // Effective demand: an unshared reservation takes the machine.
         let (cpu, mem) = if req.rtype.share {
@@ -315,10 +346,10 @@ impl ReservationTable {
         let token = self.minter.mint(req, start, confirm_by);
         self.next_serial = token.serial + 1;
         // The minter's serials only grow, so appending keeps serial order.
-        let entry = Entry { token: token.clone(), state: EntryState::Pending };
+        let entry = Entry::granted(&token);
         self.next_lapse = self.next_lapse.min(entry.lapses_at());
         self.live.push(entry);
-        self.tally(&token, Held::plus);
+        self.tally(&entry, Held::plus);
         Ok(token)
     }
 
@@ -342,7 +373,7 @@ impl ReservationTable {
         let e = &self.live[i];
         Ok(match e.state {
             EntryState::Pending => {
-                if e.token.covers(now) {
+                if e.start <= now && now < e.end {
                     ReservationStatus::Active
                 } else {
                     ReservationStatus::Pending
@@ -373,15 +404,16 @@ impl ReservationTable {
         if e.state == EntryState::Consumed {
             return Err(LegionError::ReservationConsumed);
         }
-        if now < e.token.start {
+        if now < e.start {
+            // `verify` passed, so the token's host is this table's.
             return Err(LegionError::ReservationDenied {
-                host: e.token.host,
-                reason: format!("service window opens at {}", e.token.start),
+                host: self.host,
+                reason: format!("service window opens at {}", e.start),
             });
         }
         // The sweep above expired every entry whose window is over, so
         // `now` falls inside this one's.
-        e.state = if e.token.rtype.reuse { EntryState::Confirmed } else { EntryState::Consumed };
+        e.state = if e.reuse { EntryState::Confirmed } else { EntryState::Consumed };
         Ok(())
     }
 
@@ -416,16 +448,16 @@ impl ReservationTable {
         let live = std::mem::take(&mut self.live);
         let n = live.len();
         for e in &live {
-            self.fates.record(e.token.serial, false);
+            self.fates.record(e.serial, false);
         }
         self.free_if_idle();
         n
     }
 
-    /// Expires lapsed entries; returns the tokens that expired this
-    /// sweep, in serial order. Returns at once while `now` is before
-    /// the watermark, and recomputes it otherwise.
-    pub fn sweep(&mut self, now: SimTime) -> Vec<ReservationToken> {
+    /// Expires lapsed entries; returns the serials that expired this
+    /// sweep, in order. Returns at once while `now` is before the
+    /// watermark, and recomputes it otherwise.
+    pub fn sweep(&mut self, now: SimTime) -> Vec<u64> {
         if now < self.next_lapse {
             return Vec::new();
         }
@@ -437,18 +469,18 @@ impl ReservationTable {
                 next_lapse = next_lapse.min(lapses_at);
                 return true;
             }
-            expired.push(e.token.clone());
+            expired.push(*e);
             false
         });
         self.next_lapse = next_lapse;
         let idle = self.free_if_idle();
-        for token in &expired {
+        for e in &expired {
             if !idle {
-                self.tally(token, Held::minus);
+                self.tally(e, Held::minus);
             }
-            self.fates.record(token.serial, false);
+            self.fates.record(e.serial, false);
         }
-        expired
+        expired.into_iter().map(|e| e.serial).collect()
     }
 
     /// (cpu-centis, MB) held by reservations whose window covers `now`.
@@ -479,14 +511,13 @@ impl ReservationTable {
         self.edges.range(edges).fold(Held::default(), |sum, (_, &h)| sum.plus(h))
     }
 
-    /// Adds (`Held::plus`) or takes away (`Held::minus`) a live token's
+    /// Adds (`Held::plus`) or takes away (`Held::minus`) a live entry's
     /// holding to the total and at both of its window's edges. An edge
     /// that no live entry uses any more leaves the map.
-    fn tally(&mut self, token: &ReservationToken, op: fn(Held, Held) -> Held) {
-        let held = Held::of(token);
+    fn tally(&mut self, e: &Entry, op: fn(Held, Held) -> Held) {
+        let held = Held::of(e);
         self.held = op(self.held, held);
-        let end = token.end();
-        for edge in [Edge::Start(token.start), Edge::End(end, token.start == end)] {
+        for edge in [Edge::Start(e.start), Edge::End(e.end, e.start == e.end)] {
             let at = self.edges.entry(edge).or_default();
             *at = op(*at, held);
             if at.count == 0 {
@@ -527,8 +558,8 @@ impl ReservationTable {
         let mut step = 1;
         while hi > 0 {
             let lo = hi.saturating_sub(step);
-            if self.live[lo].token.serial <= serial {
-                let found = self.live[lo..hi].binary_search_by_key(&serial, |e| e.token.serial);
+            if self.live[lo].serial <= serial {
+                let found = self.live[lo..hi].binary_search_by_key(&serial, |e| e.serial);
                 return found.map(|i| lo + i).map_err(|i| lo + i);
             }
             hi = lo;
@@ -542,9 +573,9 @@ impl ReservationTable {
     fn retire(&mut self, i: usize, cancelled: bool) {
         let e = self.live.remove(i);
         if !self.free_if_idle() {
-            self.tally(&e.token, Held::minus);
+            self.tally(&e, Held::minus);
         }
-        self.fates.record(e.token.serial, cancelled);
+        self.fates.record(e.serial, cancelled);
     }
 
     /// An emptied live list frees its buffer, holds nothing and has
@@ -565,10 +596,6 @@ impl ReservationTable {
     /// Verifies a token without touching state.
     pub fn verify(&self, token: &ReservationToken) -> bool {
         self.minter.verify(token)
-    }
-
-    fn minter_host(&self) -> Loid {
-        self.host
     }
 
     /// The host this table belongs to.
@@ -772,7 +799,7 @@ mod tests {
         assert!(t.sweep(SimTime::from_secs(20)).is_empty());
         assert_eq!(t.held_at(SimTime::from_secs(50)), (100, 64));
         // Past the window end: expired, and nothing held any more.
-        assert_eq!(t.sweep(SimTime::from_secs(101)), vec![tok]);
+        assert_eq!(t.sweep(SimTime::from_secs(101)), vec![tok.serial]);
         assert_eq!(t.held_at(SimTime::from_secs(50)), (0, 0));
     }
 

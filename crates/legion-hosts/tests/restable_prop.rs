@@ -208,6 +208,23 @@ fn agree_with_reference(steps: Vec<Step>) -> Result<(), TestCaseError> {
 
     for step in steps {
         match step {
+            Step::Fill { count, dur } => {
+                // Long zero-demand shared windows, granted at once as the
+                // testbed preloads them: every later lookup, retire and
+                // sweep runs over hundreds of live entries.
+                let req = ReservationRequest::instantaneous(
+                    Loid::synthetic(LoidKind::Class, 1),
+                    Loid::synthetic(LoidKind::Vault, 1),
+                    SimDuration::from_secs(dur * TICK),
+                )
+                .with_demand(0, 0)
+                .starting_at(now);
+                for _ in 0..count {
+                    let got = table.make(&req, now);
+                    prop_assert_eq!(&got, &reference.make(&req, now), "fill at {}", now);
+                    granted.extend(got);
+                }
+            }
             Step::Make { share, reuse, cpu, mem, start, dur, timeout } => {
                 let mut req = ReservationRequest::instantaneous(
                     Loid::synthetic(LoidKind::Class, 1),
@@ -243,7 +260,10 @@ fn agree_with_reference(steps: Vec<Step>) -> Result<(), TestCaseError> {
             }
             Step::Consume(_) | Step::Cancel(_) | Step::Check(_) | Step::Release(_) => {}
             Step::ExpireAll => prop_assert_eq!(table.expire_all(), reference.expire_all()),
-            Step::Sweep => prop_assert_eq!(table.sweep(now), reference.sweep(now)),
+            Step::Sweep => {
+                let expired: Vec<u64> = reference.sweep(now).iter().map(|t| t.serial).collect();
+                prop_assert_eq!(table.sweep(now), expired);
+            }
             Step::Advance(secs) => now += SimDuration::from_secs(secs),
         }
 
@@ -275,6 +295,9 @@ enum Step {
     Sweep,
     /// Advance the clock by this many seconds.
     Advance(u64),
+    /// Grant `count` zero-demand shared reservations of `dur` ticks at
+    /// once.
+    Fill { count: usize, dur: u64 },
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
@@ -309,10 +332,14 @@ fn arb_step() -> impl Strategy<Value = Step> {
         (0usize..64).prop_map(Step::Release),
         (1u64..25).prop_map(Step::Advance),
         (1u64..25).prop_map(Step::Advance),
-        // Crashes are rare, so dead entries pile up past the
-        // autocompaction threshold.
-        (0u8..16).prop_map(|n| match n {
-            0 => Step::ExpireAll,
+        // Crashes and fills are rare, so dead entries pile up past the
+        // autocompaction threshold. A fill's windows are long beside the
+        // clock's advances, but some lapse within a run, so one sweep
+        // (a step's own, or the one each call makes first) expires
+        // hundreds.
+        (0u8..32, 64usize..301, 10u64..200).prop_map(|(n, count, dur)| match n {
+            0 | 1 => Step::ExpireAll,
+            2 => Step::Fill { count, dur },
             _ => Step::Sweep,
         }),
     ]

@@ -224,7 +224,9 @@ impl Enactor {
     /// that reconciles against the ledger's `reservations_cancelled`.
     fn cancel_one(&self, token: &ReservationToken) -> bool {
         let span = self.fabric.tracer().span(SpanKind::CancelReservation);
-        span.attr("host", token.host.to_string());
+        if span.is_recording() {
+            span.attr("host", token.host.to_string());
+        }
         if self.fabric.link(self.loid, token.host).is_err() {
             span.end_with(SpanOutcome::Infrastructure);
             return false;
@@ -565,8 +567,10 @@ impl Enactor {
         let mut created: Vec<(Mapping, Loid)> = Vec::with_capacity(feedback.mappings.len());
         for (m, tok) in feedback.mappings.iter().zip(&feedback.reservations) {
             let inst_span = self.fabric.tracer().span(SpanKind::EnactInstantiation);
-            inst_span.attr("class", m.class.to_string());
-            inst_span.attr("host", m.host.to_string());
+            if inst_span.is_recording() {
+                inst_span.attr("class", m.class.to_string());
+                inst_span.attr("host", m.host.to_string());
+            }
             // Count the attempt up front so the counter and the span
             // agree even when the instantiation message is lost.
             MetricsLedger::bump(&self.metrics().enact_instantiations);

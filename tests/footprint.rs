@@ -8,9 +8,11 @@
 //! reassessment of every host with a changed load pulled back into the
 //! Collection (what each of the benchmark's churn steps does). Further
 //! start + destroy passes, to 64 and then 256 per host, show that what a
-//! host retains does not grow with the placements it has served. The
-//! figures are a property of the data layout, not of the machine, so
-//! they repeat exactly from run to run and the guard below can be tight.
+//! host retains does not grow with the placements it has served. Last,
+//! every host is given the 256 long reservations each host of the
+//! co-allocation benchmark holds. The figures are a property of the data
+//! layout, not of the machine, so they repeat exactly from run to run and
+//! the guard below can be tight.
 //!
 //! Run `cargo test --release --test footprint -- --nocapture` to print
 //! the phase table.
@@ -193,6 +195,12 @@ fn bytes_per_host_stay_within_budget() {
     assert_eq!(tb.daemon.pull_once(later), HOSTS);
     let (repulled, repulled_allocs) = start.per_host();
 
+    // Last, so that no row above moves: every host holds 256 long
+    // zero-demand reservations, as the co-allocation benchmark's hosts do.
+    let start = Mark::now();
+    assert_eq!(tb.preload_reservations(256, class), 256 * HOSTS);
+    let (held, held_allocs) = start.per_host();
+
     println!("phase                     bytes/host  allocations/host");
     println!("bed build (hosts + pull)  {built:>10}  {built_allocs:>16}");
     println!("  of which the pull       {:>10}  {:>16}", pull.0, pull.1);
@@ -201,6 +209,7 @@ fn bytes_per_host_stay_within_budget() {
     println!("  after 64 passes         {aged_64:>10}  {aged_64_allocs:>16}");
     println!("  after 256 passes        {aged_256:>10}  {aged_256_allocs:>16}");
     println!("reassess + pull           {repulled:>10}  {repulled_allocs:>16}");
+    println!("256 held reservations     {held:>10}  {held_allocs:>16}");
 
     // With one `BTreeMap<String, AttrValue>` per copy of a host's
     // attributes, an object map that keeps its emptied node, and three
@@ -273,6 +282,20 @@ fn bytes_per_host_stay_within_budget() {
     //   first candidate serve            152                 2
     //   start + destroy pass              32                15
     //   reassess + pull                  744                 6
+    //
+    // With no LOID attribute and trigram postings as sorted id vectors,
+    // but spans that formatted LOID text even when tracing was off, and
+    // a reservation table that kept each live token whole (144 bytes,
+    // three LOIDs and the tag):
+    //
+    //   bed build (hosts + pull)        3778                30
+    //     of which the pull             1754                 7
+    //   first candidate serve            152                 2
+    //   start + destroy pass              32                15
+    //     after 64 passes                 32                14
+    //     after 256 passes                32                14
+    //   reassess + pull                  704                 6
+    //   256 held reservations          37288                 9
     assert!(built <= 3_850, "{built} B per host after the build");
     // One store interns each attribute value once, and posts its id once
     // under each distinct trigram, in a sorted id vector.
@@ -291,13 +314,20 @@ fn bytes_per_host_stay_within_budget() {
         aged_64.max(aged_256) <= aged + 32,
         "{aged_64} / {aged_256} B per host after 64 / 256 passes, {aged} B after one"
     );
+    // Span attributes are formatted only when a span records.
     assert!(
-        aged_allocs <= 100,
+        aged_allocs <= 12,
         "{aged_allocs} allocations per start + destroy"
     );
     // A pull re-indexes only the attributes whose value moved: 6 today.
     assert!(
         repulled_allocs <= 8,
         "{repulled_allocs} allocations per reassess + pull"
+    );
+    // A live entry keeps 48 bytes of its token: 256 of them in a 12 KiB
+    // list, beside the window edges' map.
+    assert!(
+        held <= 12_800,
+        "{held} B per host for 256 held reservations"
     );
 }
