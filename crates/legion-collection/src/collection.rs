@@ -34,7 +34,7 @@ use crate::planner;
 use crate::query::{parse_query, Query};
 use crate::record::CollectionRecord;
 use legion_core::hash::KeyedTag;
-use legion_core::{AttrValue, AttributeDb, LegionError, Loid, LoidKind, SimTime, SpanKind};
+use legion_core::{AttrMask, AttrValue, AttributeDb, LegionError, Loid, LoidKind, SimTime, SpanKind};
 use legion_fabric::MetricsLedger;
 use legion_trace::TraceSink;
 use parking_lot::{Mutex, RwLock};
@@ -75,7 +75,9 @@ impl Store {
     fn insert(&mut self, record: Arc<CollectionRecord>) {
         let member = record.member;
         match self.records.insert(member, Arc::clone(&record)) {
-            Some(old) => self.indexes.reindex(member, &old.attrs, &record.attrs),
+            Some(old) => {
+                self.indexes.reindex(member, &old.attrs, &record.attrs);
+            }
             None => self.indexes.insert(member, &record.attrs),
         }
     }
@@ -91,14 +93,15 @@ impl Store {
     /// re-indexes only the attributes whose value differs between the
     /// two (`update` and `replace`; a pull of a reassessed host moves
     /// its load, free memory, draining flag and object count). Returns
-    /// the installed snapshot (for delta logging); holders of the
-    /// outgoing one keep it unchanged.
+    /// the installed snapshot and the mask of the names that differ
+    /// (for delta logging); holders of the outgoing snapshot keep it
+    /// unchanged.
     fn mutate_attrs(
         &mut self,
         member: Loid,
         now: SimTime,
         next: impl FnOnce(&AttributeDb) -> AttributeDb,
-    ) -> Result<Arc<CollectionRecord>, LegionError> {
+    ) -> Result<(Arc<CollectionRecord>, AttrMask), LegionError> {
         let slot = self.records.get_mut(&member).ok_or(LegionError::NoSuchObject(member))?;
         let rec = Arc::new(CollectionRecord {
             member,
@@ -106,9 +109,9 @@ impl Store {
             joined_at: slot.joined_at,
             updated_at: now,
         });
-        self.indexes.reindex(member, &slot.attrs, &rec.attrs);
+        let changed = self.indexes.reindex(member, &slot.attrs, &rec.attrs);
         *slot = Arc::clone(&rec);
-        Ok(rec)
+        Ok((rec, changed))
     }
 }
 
@@ -322,7 +325,7 @@ impl Collection {
         let rec = Arc::new(CollectionRecord::new(joiner, attrs, now));
         let mut store = self.store.write();
         store.insert(Arc::clone(&rec));
-        self.log_delta(DeltaOp::Upsert(rec));
+        self.log_delta(DeltaOp::Upsert { record: rec, changed: AttrMask::ALL });
         self.bump_epoch();
         drop(store);
         self.bump(|m| MetricsLedger::bump(&m.collection_updates));
@@ -393,8 +396,8 @@ impl Collection {
         next: impl FnOnce(&AttributeDb) -> AttributeDb,
     ) -> Result<(), LegionError> {
         let mut store = self.store.write();
-        let rec = store.mutate_attrs(member, now, next)?;
-        self.log_delta(DeltaOp::Upsert(rec));
+        let (record, changed) = store.mutate_attrs(member, now, next)?;
+        self.log_delta(DeltaOp::Upsert { record, changed });
         self.bump_epoch();
         Ok(())
     }
@@ -812,9 +815,32 @@ mod tests {
         c.leave(&cred).unwrap();
         assert_eq!(c.epoch().delta_seq, 3);
         let DeltaBatch::Ops(ops) = c.deltas_since(0) else { panic!("expected ops") };
-        assert!(matches!(&ops[0].op, DeltaOp::Upsert(rec) if rec.member == l(1)));
+        assert!(matches!(&ops[0].op, DeltaOp::Upsert { record, changed }
+            if record.member == l(1) && *changed == AttrMask::ALL));
         assert!(matches!(&ops[1].op, DeltaOp::Touch(rec) if rec.member == l(1)));
         assert!(matches!(ops[2].op, DeltaOp::Remove { member } if member == l(1)));
         assert_eq!(c.deltas_since(3), DeltaBatch::UpToDate);
+    }
+
+    #[test]
+    fn an_upsert_names_the_attributes_it_changed() {
+        use crate::delta::{DeltaBatch, DeltaOp};
+        let c = Collection::new(42);
+        c.enable_deltas(16);
+        let cred = c.join_with(l(1), host_attrs("IRIX", 0.2), SimTime::ZERO);
+        let t = SimTime::from_secs(1);
+        c.replace(&cred, host_attrs("IRIX", 0.7), t).unwrap();
+        c.update(&cred, &AttributeDb::new().with("site_tag", "a"), t).unwrap();
+        c.update(&cred, &AttributeDb::new().with("host_load", 0.7), t).unwrap();
+        let DeltaBatch::Ops(ops) = c.deltas_since(1) else { panic!("expected ops") };
+        let changed: Vec<AttrMask> = ops
+            .iter()
+            .map(|d| match &d.op {
+                DeltaOp::Upsert { changed, .. } => *changed,
+                op => panic!("expected an upsert, got {op:?}"),
+            })
+            .collect();
+        let none = AttrMask::default();
+        assert_eq!(changed, [AttrMask::of("host_load"), AttrMask::of("site_tag"), none]);
     }
 }

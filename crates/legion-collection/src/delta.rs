@@ -14,7 +14,10 @@
 //! Three operation kinds keep the common case cheap:
 //!
 //! * [`DeltaOp::Upsert`] — a join, update, or replace; carries the
-//!   record snapshot the store itself installed,
+//!   record snapshot the store itself installed and an [`AttrMask`] of
+//!   the attributes whose value it changed (every name for a join), so
+//!   a reader whose result reads none of them re-points to the snapshot
+//!   as for a touch instead of re-evaluating,
 //! * [`DeltaOp::Touch`] — a freshness bump with unchanged attributes
 //!   (the incremental pull daemon's no-change fast path); carries the
 //!   stored snapshot too, and a reader re-points to it without
@@ -25,19 +28,28 @@
 //! `Arc<CollectionRecord>` sits in the store, in the log and in every
 //! cache that patched from it, so logging a change copies no
 //! attributes. Each op re-states the member's post-change state, which
-//! keeps replay from a conservatively old anchor idempotent.
+//! keeps replay from a conservatively old anchor idempotent: an
+//! Upsert's mask is relative to the member's state just before it, so
+//! on replay the last op that changed a given attribute still decides
+//! what a reader derives from that attribute.
 
 use crate::record::CollectionRecord;
-use legion_core::Loid;
+use legion_core::{AttrMask, Loid};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One logged membership change.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeltaOp {
-    /// Join/update/replace: the member's post-change record — the very
-    /// snapshot the logging store holds, never a copy of it.
-    Upsert(Arc<CollectionRecord>),
+    /// Join/update/replace.
+    Upsert {
+        /// The member's post-change record — the very snapshot the
+        /// logging store holds, never a copy of it.
+        record: Arc<CollectionRecord>,
+        /// The names whose value differs from the member's previous
+        /// state; [`AttrMask::ALL`] for a join.
+        changed: AttrMask,
+    },
     /// Freshness bump: the stored snapshot after the bump. Its
     /// attributes equal those of the member's previous logged state;
     /// only `updated_at` moved.

@@ -47,7 +47,7 @@
 //! so a non-selective predicate (`$host_load >= 0.0`) is routed to the
 //! scan path without touching a single bucket.
 
-use legion_core::{AttrValue, AttributeDb, Loid};
+use legion_core::{AttrMask, AttrValue, AttributeDb, Loid};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
@@ -421,14 +421,19 @@ impl AttributeIndexes {
     /// (`NumKey` folds `-0.0` onto `0.0`). `Int(1)` against
     /// `Float(1.0)`, or `NaN` against `NaN`, compare unequal and are
     /// re-indexed to the same place, which is only redundant.
-    pub fn reindex(&mut self, member: Loid, old: &AttributeDb, new: &AttributeDb) {
+    ///
+    /// Returns the mask of the names it moved: the names whose value
+    /// differs between `old` and `new`, which is what the change log
+    /// tells a reader changed.
+    pub fn reindex(&mut self, member: Loid, old: &AttributeDb, new: &AttributeDb) -> AttrMask {
+        let mut changed = AttrMask::default();
         let (mut old, mut new) = (old.iter().peekable(), new.iter().peekable());
         loop {
             let order = match (old.peek(), new.peek()) {
                 (Some((a, _)), Some((b, _))) => a.cmp(b),
                 (Some(_), None) => Ordering::Less,
                 (None, Some(_)) => Ordering::Greater,
-                (None, None) => return,
+                (None, None) => return changed,
             };
             let was = if order.is_le() { old.next() } else { None };
             let is = if order.is_ge() { new.next() } else { None };
@@ -439,9 +444,11 @@ impl AttributeIndexes {
             }
             if let Some((name, value)) = was {
                 self.unindex(member, name, value);
+                changed |= AttrMask::of(name);
             }
             if let Some((name, value)) = is {
                 self.index(member, name, value);
+                changed |= AttrMask::of(name);
             }
         }
     }
@@ -964,7 +971,8 @@ mod tests {
 
         /// Moving members through random records one `reindex` at a time
         /// leaves the indexes exactly as inserting every member's
-        /// current record into an empty set does.
+        /// current record into an empty set does, and each `reindex`
+        /// reports exactly the names whose value it saw change.
         #[test]
         fn reindex_equals_a_rebuild(steps in proptest::collection::vec(arb_step(), 1..40)) {
             const NAMES: [&str; 5] = ["arch", "host_load", "host_name", "os", "zone"];
@@ -979,7 +987,16 @@ mod tests {
                         None => new.remove(NAMES[*name]),
                     };
                 }
-                idx.reindex(l(*member), &old, &new);
+                let changed = idx.reindex(l(*member), &old, &new);
+                // The names whose value differs, read off the two
+                // databases by lookup rather than by a merge walk.
+                let differs = old
+                    .iter()
+                    .chain(new.iter())
+                    .map(|(name, _)| name)
+                    .filter(|name| old.get(name) != new.get(name))
+                    .fold(AttrMask::default(), |mask, name| mask | AttrMask::of(name));
+                prop_assert_eq!(changed, differs);
                 records.insert(*member, new);
 
                 let mut rebuilt = AttributeIndexes::default();

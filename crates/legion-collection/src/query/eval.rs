@@ -1,7 +1,7 @@
 //! Query compilation and evaluation.
 
 use super::ast::{MatchArg, Operand, QueryExpr};
-use legion_core::{AttrValue, AttributeDb};
+use legion_core::{AttrMask, AttrValue, AttributeDb};
 use legion_regex::{MatchHints, Regex};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -18,6 +18,8 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct Query {
     expr: QueryExpr,
+    /// Every attribute name the expression reads.
+    reads: AttrMask,
     /// Pattern string → compiled regex; pre-seeded with literals.
     regex_cache: RwLock<HashMap<String, Option<Regex>>>,
     /// Pattern string → index-planning hints; pre-seeded with literals
@@ -34,7 +36,18 @@ impl Query {
             .iter()
             .map(|(p, re)| (p.clone(), re.as_ref().and_then(|_| legion_regex::analyze(p))))
             .collect();
-        Ok(Query { expr, regex_cache: RwLock::new(cache), hints_cache: RwLock::new(hints) })
+        Ok(Query {
+            reads: names_read(&expr),
+            expr,
+            regex_cache: RwLock::new(cache),
+            hints_cache: RwLock::new(hints),
+        })
+    }
+
+    /// The mask of every `$name` the query reads. A record change that
+    /// moves none of these names cannot change whether it matches.
+    pub fn reads(&self) -> AttrMask {
+        self.reads
     }
 
     /// Index-planning hints for a pattern (see
@@ -144,6 +157,29 @@ fn resolve<'a>(op: &'a Operand, attrs: &'a AttributeDb) -> Option<&'a AttrValue>
     match op {
         Operand::Attr(name) => attrs.get(name),
         Operand::Lit(v) => Some(v),
+    }
+}
+
+/// The mask of every attribute name `e` reads.
+fn names_read(e: &QueryExpr) -> AttrMask {
+    let operand = |o: &Operand| match o {
+        Operand::Attr(name) => AttrMask::of(name),
+        Operand::Lit(_) => AttrMask::default(),
+    };
+    let arg = |a: &MatchArg| match a {
+        MatchArg::Attr(name) => AttrMask::of(name),
+        MatchArg::Lit(_) => AttrMask::default(),
+    };
+    match e {
+        QueryExpr::Bool(_) => AttrMask::default(),
+        QueryExpr::Cmp { lhs, rhs, .. } => operand(lhs) | operand(rhs),
+        QueryExpr::Match { a, b } => arg(a) | arg(b),
+        QueryExpr::Contains { attr, needle } => AttrMask::of(attr) | operand(needle),
+        QueryExpr::Exists(name) => AttrMask::of(name),
+        QueryExpr::And(parts) | QueryExpr::Or(parts) => {
+            parts.iter().fold(AttrMask::default(), |mask, p| mask | names_read(p))
+        }
+        QueryExpr::Not(inner) => names_read(inner),
     }
 }
 

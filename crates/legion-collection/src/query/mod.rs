@@ -82,6 +82,23 @@ mod tests {
     }
 
     #[test]
+    fn reads_names_every_attribute_the_query_mentions() {
+        use legion_core::AttrMask;
+        let reads = |q: &str| parse_query(q).unwrap().reads();
+        let of = AttrMask::of;
+        assert_eq!(reads("true"), AttrMask::default());
+        assert_eq!(
+            reads(r#"match($host_os_name, "IRIX") and not ($host_load > $host_ncpus)"#),
+            of("host_os_name") | of("host_load") | of("host_ncpus")
+        );
+        assert_eq!(
+            reads(r#"contains($host_compatible_vaults, $site) or exists($host_draining)"#),
+            of("host_compatible_vaults") | of("site") | of("host_draining")
+        );
+        assert!(!reads("$host_memory_mb >= 256").intersects(of("host_load")));
+    }
+
+    #[test]
     fn comparisons_with_numbers() {
         let db = host("IRIX", "5.3", 0.75, 512);
         assert!(matches("$host_load < 1.0", &db));

@@ -185,6 +185,51 @@ const KNOWN_NAMES: [&str; 17] = [
     well_known::DRAINING,
 ];
 
+/// A set of attribute names, as one bit per well-known name and one bit
+/// that stands for every other name.
+///
+/// A Collection change says which attributes it moved and a query says
+/// which it reads; when the two masks miss each other, the change
+/// cannot have altered the query's verdict. Every name outside the
+/// well-known table shares one bit, so a mask errs toward overlapping,
+/// never toward missing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AttrMask(u32);
+
+impl AttrMask {
+    /// The bit that stands for every name outside [`KNOWN_NAMES`].
+    const OTHER: u32 = 1 << KNOWN_NAMES.len();
+
+    /// Every name.
+    pub const ALL: AttrMask = AttrMask((AttrMask::OTHER << 1) - 1);
+
+    /// The mask of one name.
+    pub fn of(name: &str) -> AttrMask {
+        match KNOWN_NAMES.iter().position(|&k| k == name) {
+            Some(i) => AttrMask(1 << i),
+            None => AttrMask(AttrMask::OTHER),
+        }
+    }
+
+    /// Whether the two masks share a name.
+    pub fn intersects(self, other: AttrMask) -> bool {
+        self.0 & other.0 != 0
+    }
+}
+
+impl std::ops::BitOr for AttrMask {
+    type Output = AttrMask;
+    fn bitor(self, other: AttrMask) -> AttrMask {
+        AttrMask(self.0 | other.0)
+    }
+}
+
+impl std::ops::BitOrAssign for AttrMask {
+    fn bitor_assign(&mut self, other: AttrMask) {
+        self.0 |= other.0;
+    }
+}
+
 /// An attribute name. Every string has exactly one representation — a
 /// well-known name is always `Known` — so derived equality is string
 /// equality.
@@ -396,6 +441,23 @@ mod tests {
         let db = AttributeDb::new().with("b", 1i64).with("a", 2i64).with("c", 3i64);
         let names: Vec<&str> = db.iter().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["a", "b", "c"]);
+    }
+
+    #[test]
+    fn masks_give_each_known_name_its_own_bit_and_others_one_shared_bit() {
+        let known: Vec<AttrMask> = KNOWN_NAMES.iter().map(|n| AttrMask::of(n)).collect();
+        for (i, a) in known.iter().enumerate() {
+            for (j, b) in known.iter().enumerate() {
+                assert_eq!(a.intersects(*b), i == j, "{} and {}", KNOWN_NAMES[i], KNOWN_NAMES[j]);
+            }
+            assert!(AttrMask::ALL.intersects(*a));
+            assert!(!AttrMask::of("site_tag").intersects(*a));
+        }
+        assert!(AttrMask::of("site_tag").intersects(AttrMask::of("owner")));
+        assert!(AttrMask::ALL.intersects(AttrMask::of("owner")));
+        assert!(!AttrMask::default().intersects(AttrMask::ALL));
+        let all = known.into_iter().fold(AttrMask::of("owner"), |m, b| m | b);
+        assert_eq!(all, AttrMask::ALL);
     }
 
     #[test]

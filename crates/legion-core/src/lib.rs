@@ -37,7 +37,7 @@ pub mod time;
 pub mod trace;
 pub mod vault;
 
-pub use attrs::{AttrValue, AttributeDb};
+pub use attrs::{AttrMask, AttrValue, AttributeDb};
 pub use class::{ClassObject, ClassReport, LegionClass, Placement, PlacementContext};
 pub use error::LegionError;
 pub use host::{well_known, HostObject, ObjectSpec, ReservationStatus};

@@ -142,14 +142,16 @@ impl std::str::FromStr for Loid {
     /// Parses the dotted rendering produced by `Display`, so identifiers
     /// can round-trip through attribute databases and Collection records.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let parts: Vec<&str> = s.split('.').collect();
-        let [one, code, seq, nonce] = parts.as_slice() else {
+        let mut parts = s.split('.');
+        let (Some(one), Some(code), Some(seq), Some(nonce), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next(), parts.next())
+        else {
             return Err(format!("malformed LOID `{s}`"));
         };
-        if *one != "1" {
+        if one != "1" {
             return Err(format!("unsupported LOID version in `{s}`"));
         }
-        let kind = match *code {
+        let kind = match code {
             "01" => LoidKind::Class,
             "02" => LoidKind::Host,
             "03" => LoidKind::Vault,
@@ -190,6 +192,19 @@ mod tests {
     fn nil_detects() {
         assert!(Loid::NIL.is_nil());
         assert!(!Loid::fresh(LoidKind::Class).is_nil());
+    }
+
+    #[test]
+    fn malformed_text_keeps_its_error() {
+        let parse = |s: &str| s.parse::<Loid>().unwrap_err();
+        assert_eq!(parse("1.02.ff"), "malformed LOID `1.02.ff`");
+        assert_eq!(parse("1.02.ff.0.0"), "malformed LOID `1.02.ff.0.0`");
+        assert_eq!(parse("2.02.ff.0"), "unsupported LOID version in `2.02.ff.0`");
+        assert_eq!(parse("1.09.ff.0"), "unknown LOID kind `09`");
+        assert_eq!(parse("1.02.fg.0"), "bad seq: invalid digit found in string");
+        assert_eq!(parse("1.02.ff."), "bad nonce: cannot parse integer from empty string");
+        let l = Loid::synthetic(LoidKind::Vault, 42);
+        assert_eq!(l.to_string().parse::<Loid>(), Ok(l));
     }
 
     #[test]

@@ -11,9 +11,13 @@
 //!
 //! On epoch advance the cache consumes the Collection's bounded delta
 //! log ([`Collection::deltas_since`]) and patches the cached set
-//! incrementally — the query predicate is re-evaluated only against
-//! the records that actually changed. Three situations fall back to a
-//! full recompute:
+//! incrementally. Each logged upsert names the attributes it changed,
+//! and the query predicate is re-evaluated only against the records
+//! whose change touches what the query reads ([`Query::reads`]) or the
+//! vault list a candidate carries; a record whose change it does not
+//! read (a reassessed host's load, free memory and object count, under
+//! a query on architecture and OS) is only re-pointed, as for a touch.
+//! Three situations fall back to a full recompute:
 //!
 //! * the log reports a [`DeltaBatch::Gap`] (the bounded log already
 //!   dropped changes the cache needs),
@@ -36,7 +40,10 @@
 //! record snapshot the store installed, shared rather than copied), so
 //! patching from a conservatively old anchor — the epoch is always read
 //! *before* the query or the delta pull — at worst re-applies an op the
-//! snapshot already reflects, never corrupts it.
+//! snapshot already reflects, never corrupts it. An upsert's changed
+//! names are relative to the member's previous state, so on replay the
+//! last op that changed what the query reads still decides membership,
+//! and every later one only re-points the record.
 //!
 //! A served `Arc<Vec<Candidate>>` is an immutable snapshot. The patch
 //! goes through [`Arc::make_mut`]: in place — O(changed · log n), no
@@ -51,7 +58,7 @@
 
 use crate::traits::Candidate;
 use legion_collection::{parse_query, Collection, CollectionEpoch, DeltaBatch, DeltaOp, Query};
-use legion_core::LegionError;
+use legion_core::{well_known, AttrMask, LegionError};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -197,9 +204,10 @@ impl CandidateCache {
                 DeltaBatch::Ops(ops) if ops.len() <= patch_budget(collection.len()) => {
                     let newest = ops.last().map_or(set.epoch.delta_seq, |d| d.seq);
                     let list = Arc::make_mut(&mut set.candidates);
+                    let reads = query.reads() | AttrMask::of(well_known::COMPATIBLE_VAULTS);
                     let mut reevaluated = 0u64;
                     for delta in ops {
-                        apply_delta(list, query, delta.op, &mut reevaluated);
+                        apply_delta(list, query, reads, delta.op, &mut reevaluated);
                     }
                     self.patched.fetch_add(1, Ordering::Relaxed);
                     collection.note_cache_serve("patched", list.len(), reevaluated);
@@ -237,21 +245,32 @@ fn compute(collection: &Collection, query: &Query, as_miss: bool) -> Vec<Candida
 
 /// Applies one logged change to a member-sorted candidate list.
 ///
-/// `Upsert` re-evaluates the predicate against the post-change record
-/// it carries and, on a match, builds the candidate around that same
-/// shared record; `Touch` only re-points the candidate to the bumped
-/// record — by the delta-log contract the attributes are unchanged, so
-/// the cached predicate verdict (and vault list) still stands and no
-/// re-evaluation happens; `Remove` is a plain delete. All three are
-/// idempotent, which is what makes replaying from a conservative
+/// `reads` is what a candidate depends on: the names the query reads
+/// ([`Query::reads`]) and the vault list [`Candidate::from_record`]
+/// parses. An `Upsert` that changed any of them re-evaluates the
+/// predicate against the post-change record it carries and, on a
+/// match, builds the candidate around that same shared record. One
+/// that changed none of them — a reassessed host's load under a query
+/// on architecture and OS — is handled like a `Touch`: the candidate,
+/// if the member has one, is re-pointed to the new record and keeps
+/// its vault list, since neither the verdict nor the vaults can have
+/// moved. `Remove` is a plain delete. All of these are idempotent, and
+/// the last op that changed what the query reads still decides
+/// membership, which is what makes replaying from a conservative
 /// anchor safe.
-fn apply_delta(list: &mut Vec<Candidate>, query: &Query, op: DeltaOp, reevaluated: &mut u64) {
+fn apply_delta(
+    list: &mut Vec<Candidate>,
+    query: &Query,
+    reads: AttrMask,
+    op: DeltaOp,
+    reevaluated: &mut u64,
+) {
     match op {
-        DeltaOp::Upsert(rec) => {
+        DeltaOp::Upsert { record, changed } if changed.intersects(reads) => {
             *reevaluated += 1;
-            let pos = list.binary_search_by_key(&rec.member, |c| c.record.member);
-            if query.matches(&rec.attrs) {
-                let cand = Candidate::from_record(rec);
+            let pos = list.binary_search_by_key(&record.member, |c| c.host);
+            if query.matches(&record.attrs) {
+                let cand = Candidate::from_record(record);
                 match pos {
                     Ok(i) => list[i] = cand,
                     Err(i) => list.insert(i, cand),
@@ -260,13 +279,13 @@ fn apply_delta(list: &mut Vec<Candidate>, query: &Query, op: DeltaOp, reevaluate
                 list.remove(i);
             }
         }
-        DeltaOp::Touch(rec) => {
-            if let Ok(i) = list.binary_search_by_key(&rec.member, |c| c.record.member) {
-                list[i].record = rec;
+        DeltaOp::Upsert { record, .. } | DeltaOp::Touch(record) => {
+            if let Ok(i) = list.binary_search_by_key(&record.member, |c| c.host) {
+                list[i].record = record;
             }
         }
         DeltaOp::Remove { member } => {
-            if let Ok(i) = list.binary_search_by_key(&member, |c| c.record.member) {
+            if let Ok(i) = list.binary_search_by_key(&member, |c| c.host) {
                 list.remove(i);
             }
         }

@@ -1,8 +1,8 @@
 //! The epoch-validated candidate cache: delta-edge behaviour (touch-only
-//! churn, log gaps, deltas never enabled, oversized batches, hosts that
-//! lose and regain their vaults) and the bit-identical
-//! cached/patched/scanned equivalence property under arbitrary
-//! mutation interleavings.
+//! and load-only churn, log gaps, deltas never enabled, oversized
+//! batches, hosts that lose and regain their vaults) and the
+//! bit-identical cached/patched/scanned equivalence property under
+//! arbitrary mutation interleavings.
 
 use legion_collection::{parse_query, Collection, MemberCredential};
 use legion_core::host::well_known;
@@ -23,6 +23,15 @@ const MEM_CONSTRAINT: &str = "$host_memory_mb >= 256";
 /// `MEM_CONSTRAINT`.
 const SERVED_QUERY: &str =
     r#"(($host_arch == "mips" and $host_os_name == "IRIX")) and ($host_memory_mb >= 256)"#;
+
+/// A second constraint, on an attribute outside the well-known names,
+/// so a change to it reaches the cache under the one bit all such
+/// names share. No host carries `site_tag` until a step sets it.
+const TAG_CONSTRAINT: &str = r#"$site_tag != "quarantine""#;
+
+/// The query text built from `report()` and `TAG_CONSTRAINT`.
+const TAG_QUERY: &str =
+    r#"(($host_arch == "mips" and $host_os_name == "IRIX")) and ($site_tag != "quarantine")"#;
 
 fn vault_loid() -> Loid {
     Loid::synthetic(LoidKind::Vault, 1)
@@ -69,6 +78,9 @@ struct Bed {
     collection: Arc<Collection>,
     /// The context whose cached serves are under test.
     cached: SchedCtx,
+    /// A second context, serving only `TAG_CONSTRAINT`, so that its
+    /// serves leave the counters of `cached` alone.
+    tagged: SchedCtx,
     creds: Vec<MemberCredential>,
     fabric: Arc<Fabric>,
 }
@@ -89,27 +101,43 @@ fn bed(members: usize, delta_capacity: Option<usize>) -> Bed {
         })
         .collect();
     let cached = SchedCtx::new(Arc::clone(&fabric), Arc::clone(&collection));
-    Bed { collection, cached, creds, fabric }
+    let tagged = SchedCtx::new(Arc::clone(&fabric), Arc::clone(&collection));
+    Bed { collection, cached, tagged, creds, fabric }
 }
 
 fn serve(ctx: &SchedCtx) -> Arc<Vec<Candidate>> {
-    ctx.shared_candidates_for(&report(), Some(MEM_CONSTRAINT)).expect("query compiles")
+    serve_under(ctx, MEM_CONSTRAINT)
 }
 
-/// Asserts the cached context serves exactly what a full scan of the
-/// Collection computes — same members, same attribute snapshots, same
-/// vault lists, same order — and that it is what the Collection's
-/// indexed query answers to the same text.
+fn serve_under(ctx: &SchedCtx, constraint: &str) -> Arc<Vec<Candidate>> {
+    ctx.shared_candidates_for(&report(), Some(constraint)).expect("query compiles")
+}
+
+/// Asserts the cached contexts serve, under each constraint, exactly
+/// what a full scan of the Collection computes — same members, same
+/// attribute snapshots, same vault lists, same order — and that it is
+/// what the Collection's indexed query answers to the same text.
 fn assert_serves_match(bed: &Bed) {
-    let cached = serve(&bed.cached);
     let candidates = |records: Vec<_>| -> Vec<Candidate> {
         records.into_iter().map(Candidate::from_record).collect()
     };
-    let query = parse_query(SERVED_QUERY).expect("query compiles");
-    let scanned = candidates(bed.collection.query_scan(&query));
-    assert_eq!(*cached, scanned, "cached serve diverged from the full scan");
-    let reference = candidates(bed.collection.query(SERVED_QUERY).expect("query compiles"));
-    assert_eq!(*cached, reference, "served set is not the Collection's query result");
+    let texts = [(&bed.cached, MEM_CONSTRAINT, SERVED_QUERY), (&bed.tagged, TAG_CONSTRAINT, TAG_QUERY)];
+    for (ctx, constraint, text) in texts {
+        let cached = serve_under(ctx, constraint);
+        let query = parse_query(text).expect("query compiles");
+        let scanned = candidates(bed.collection.query_scan(&query));
+        assert_eq!(*cached, scanned, "cached serve of {text} diverged from the full scan");
+        let reference = candidates(bed.collection.query(text).expect("query compiles"));
+        assert_eq!(*cached, reference, "served set is not the query result for {text}");
+    }
+}
+
+/// A host's current attributes with `edit` applied, for a step that
+/// changes only what it names.
+fn edited(bed: &Bed, i: usize, edit: impl FnOnce(&mut AttributeDb)) -> Option<AttributeDb> {
+    let mut attrs = bed.collection.get(member_loid(i))?.attrs.clone();
+    edit(&mut attrs);
+    Some(attrs)
 }
 
 #[test]
@@ -145,6 +173,35 @@ fn touch_only_churn_patches_without_reevaluation() {
     assert_eq!(delta.collection_queries, 1, "the patched serve is one query");
     // The freshness bump is visible through the patched set.
     assert!(set.iter().all(|c| c.record.updated_at == t), "touch must move updated_at");
+    assert_serves_match(&bed);
+}
+
+#[test]
+fn load_only_churn_patches_without_reevaluation() {
+    let bed = bed(48, Some(4096));
+    let primed = serve(&bed.cached);
+    let t = SimTime::from_secs(5);
+    // A pull of a reassessed host: only its load moves, and the served
+    // query reads architecture, OS and memory.
+    for cred in &bed.creds {
+        bed.collection.update(cred, &AttributeDb::new().with(well_known::LOAD, 0.75), t).unwrap();
+    }
+
+    let before = bed.fabric.metrics().snapshot();
+    let set = serve(&bed.cached);
+    let delta = bed.fabric.metrics().snapshot().delta(&before);
+
+    let stats = bed.cached.candidate_cache_stats();
+    assert_eq!((stats.misses, stats.patched), (1, 1), "load-only churn must patch");
+    assert_eq!(delta.collection_records_scanned, 0, "no records re-evaluated");
+    assert_eq!(delta.collection_queries, 1, "the patched serve is one query");
+    assert_eq!(set.len(), primed.len());
+    for c in set.iter() {
+        let stored = bed.collection.get(c.host).expect("served members are stored");
+        assert!(Arc::ptr_eq(&c.record, &stored), "{} kept its old snapshot", c.host);
+        assert_eq!(c.attrs().get_f64(well_known::LOAD), Some(0.75));
+        assert_eq!(c.vaults, [vault_loid()], "the vault list survives the re-point");
+    }
     assert_serves_match(&bed);
 }
 
@@ -394,6 +451,12 @@ enum Step {
     /// An upsert that leaves the host matching or not by memory, but
     /// with no vault either way; a later `Upsert` restores the vault.
     StripVaults(usize, i64),
+    /// A pull that moves only `host_load`, which no served text reads.
+    Reload(usize, u8),
+    /// An update that drops the vault list and changes nothing else.
+    DropVaults(usize),
+    /// An update that sets `site_tag`, which only `TAG_QUERY` reads.
+    Tag(usize, u8),
     Leave(usize),
     Rejoin(usize, i64),
     Serve,
@@ -408,6 +471,9 @@ fn step_strategy(members: usize) -> impl Strategy<Value = Step> {
         (0..members).prop_map(Step::Touch),
         (0..members, 0i64..1024).prop_map(|(i, m)| Step::Upsert(i, m)),
         (0..members, 0i64..1024).prop_map(|(i, m)| Step::StripVaults(i, m)),
+        (0..members, 0u8..3).prop_map(|(i, l)| Step::Reload(i, l)),
+        (0..members).prop_map(Step::DropVaults),
+        (0..members, 0u8..3).prop_map(|(i, v)| Step::Tag(i, v)),
         (0..members).prop_map(Step::Leave),
         (0..members, 0i64..1024).prop_map(|(i, m)| Step::Rejoin(i, m)),
         Just(Step::Serve),
@@ -420,7 +486,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The headline correctness property: under any interleaving of
-    /// upserts (with and without vaults), touches, leaves and rejoins — across
+    /// upserts (with and without vaults, and ones that change only
+    /// attributes a served text does not read), touches, leaves and
+    /// rejoins — across
     /// delta-log capacities (including none, forcing recomputes, and
     /// tiny, forcing gaps) — a cached serve is bit-identical to a full
     /// scan at every observation point, and every serve a
@@ -445,6 +513,27 @@ proptest! {
                 }
                 Step::StripVaults(i, m) => {
                     let _ = bed.collection.replace(&bed.creds[i], vaultless_attrs(m), t);
+                }
+                Step::Reload(i, load) => {
+                    let load = AttrValue::Float(f64::from(load) / 2.0);
+                    let reload = AttributeDb::new().with(well_known::LOAD, load);
+                    let _ = bed.collection.update(&bed.creds[i], &reload, t);
+                }
+                Step::DropVaults(i) => {
+                    let stripped = edited(&bed, i, |a| {
+                        a.remove(well_known::COMPATIBLE_VAULTS);
+                    });
+                    if let Some(attrs) = stripped {
+                        bed.collection.replace(&bed.creds[i], attrs, t).unwrap();
+                    }
+                }
+                Step::Tag(i, v) => {
+                    let tag = ["quarantine", "east", "west"][usize::from(v)];
+                    let _ = bed.collection.update(
+                        &bed.creds[i],
+                        &AttributeDb::new().with("site_tag", tag),
+                        t,
+                    );
                 }
                 Step::Leave(i) => { let _ = bed.collection.leave(&bed.creds[i]); }
                 Step::Rejoin(i, m) => {
