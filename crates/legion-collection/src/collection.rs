@@ -376,7 +376,9 @@ impl Collection {
     /// The stored snapshot is the new record, whole; the indexes move
     /// only for the attributes whose value differs from the outgoing
     /// record's. A reassessed host re-indexes its load and free memory,
-    /// not its name, LOID or vault list.
+    /// not its name or vault list. A snapshot equal to the stored one is
+    /// logged as a [`DeltaOp::Touch`], as [`Self::touch`] would log it,
+    /// so a caller need not compare the two first.
     pub fn replace(
         &self,
         cred: &MemberCredential,
@@ -397,14 +399,17 @@ impl Collection {
     ) -> Result<(), LegionError> {
         let mut store = self.store.write();
         let (record, changed) = store.mutate_attrs(member, now, next)?;
-        self.log_delta(DeltaOp::Upsert { record, changed });
+        self.log_delta(if changed.is_empty() {
+            DeltaOp::Touch(record)
+        } else {
+            DeltaOp::Upsert { record, changed }
+        });
         self.bump_epoch();
         Ok(())
     }
 
-    /// Freshness bump without an attribute change (the incremental
-    /// pull daemon's no-change fast path): only `updated_at` moves and
-    /// no index is rewritten. The bumped snapshot is logged as a
+    /// Freshness bump without an attribute change: only `updated_at`
+    /// moves and no index is rewritten. The bumped snapshot is logged as a
     /// [`DeltaOp::Touch`], which tells a cache to re-point to it without
     /// re-evaluating. A snapshot anyone else still holds — the log, a
     /// cache, a query result — is immutable, so the bump then lands on
@@ -833,14 +838,16 @@ mod tests {
         c.update(&cred, &AttributeDb::new().with("site_tag", "a"), t).unwrap();
         c.update(&cred, &AttributeDb::new().with("host_load", 0.7), t).unwrap();
         let DeltaBatch::Ops(ops) = c.deltas_since(1) else { panic!("expected ops") };
-        let changed: Vec<AttrMask> = ops
+        // A write that changed nothing is logged as the touch it is.
+        let changed: Vec<Option<AttrMask>> = ops
             .iter()
             .map(|d| match &d.op {
-                DeltaOp::Upsert { changed, .. } => *changed,
-                op => panic!("expected an upsert, got {op:?}"),
+                DeltaOp::Upsert { changed, .. } => Some(*changed),
+                DeltaOp::Touch(_) => None,
+                op => panic!("expected an upsert or a touch, got {op:?}"),
             })
             .collect();
-        let none = AttrMask::default();
-        assert_eq!(changed, [AttrMask::of("host_load"), AttrMask::of("site_tag"), none]);
+        let (load, site) = (AttrMask::of("host_load"), AttrMask::of("site_tag"));
+        assert_eq!(changed, [Some(load), Some(site), None]);
     }
 }

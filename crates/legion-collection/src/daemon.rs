@@ -13,20 +13,20 @@
 //! The sweep interval bounds record staleness — experiment E-F4
 //! measures the push-vs-pull freshness trade-off.
 //!
-//! Sweeps are *incremental*: the daemon remembers a canonical digest of
-//! each host's last-pushed attributes, and when a new snapshot hashes
-//! identically it issues [`Collection::touch`] — a freshness bump that
-//! rewrites no indexes and logs a [`Touch`](crate::DeltaOp::Touch) delta,
-//! which a candidate cache applies without re-evaluating — instead of a
-//! wholesale replace. An idle
-//! fleet therefore costs each sweep O(hosts) hash-and-touch, not
-//! O(hosts × attrs) index churn.
+//! Sweeps are *incremental* without the daemon comparing anything: a
+//! host's snapshot shares its Info part (name, OS, vault list) with the
+//! record it was last pulled into, so [`Collection::replace`] re-indexes
+//! only the four State values, and a snapshot in which none of them
+//! moved is logged as a [`Touch`](crate::DeltaOp::Touch) — a freshness
+//! bump that a candidate cache applies without re-evaluating. An idle
+//! fleet therefore costs each sweep O(hosts) reference-count bumps and
+//! four-slot compares, not O(hosts × attrs) copying, hashing or index
+//! churn.
 
 use crate::collection::{Collection, MemberCredential};
 use crate::inject::LoadForecaster;
-use legion_core::hash::KeyedTag;
 use legion_core::host::well_known;
-use legion_core::{AttrValue, AttributeDb, HostObject, Loid, LoidKind, SimTime};
+use legion_core::{HostObject, Loid, LoidKind, SimTime};
 use legion_fabric::Fabric;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -34,39 +34,8 @@ use std::sync::Arc;
 
 struct Target {
     collection: Arc<Collection>,
-    /// Per-member credential tag plus the canonical digest of the
-    /// attributes last pushed, for the touch-vs-replace decision.
-    credentials: BTreeMap<Loid, (u64, u64)>,
-}
-
-/// A canonical digest of an attribute database: name-ordered (the
-/// database iterates in name order), type-tagged, with floats hashed by
-/// bit pattern and lists recursively. Two databases digest equally iff
-/// they are semantically identical, so a matching digest justifies a
-/// touch instead of a replace.
-fn attrs_digest(attrs: &AttributeDb) -> u64 {
-    let mut t = KeyedTag::new(0xDA7AD16E57u64);
-    for (name, value) in attrs.iter() {
-        t.write_bytes(name.as_bytes());
-        hash_value(&mut t, value);
-    }
-    t.finish()
-}
-
-fn hash_value(t: &mut KeyedTag, value: &AttrValue) {
-    match value {
-        AttrValue::Int(i) => t.write_u64(1).write_u64(*i as u64),
-        AttrValue::Float(f) => t.write_u64(2).write_u64(f.to_bits()),
-        AttrValue::Str(s) => t.write_u64(3).write_bytes(s.as_bytes()),
-        AttrValue::Bool(b) => t.write_u64(4).write_u64(*b as u64),
-        AttrValue::List(items) => {
-            t.write_u64(5).write_u64(items.len() as u64);
-            for item in items {
-                hash_value(t, item);
-            }
-            t
-        }
-    };
+    /// Per-member credential tag.
+    credentials: BTreeMap<Loid, u64>,
 }
 
 /// Pulls host state into one or more Collections on demand.
@@ -154,48 +123,25 @@ impl DataCollectionDaemon {
                     f.observe(loid, load);
                 }
             }
-            let digest = attrs_digest(&attrs);
-            let mut targets = self.targets.write();
-            let n = targets.len();
-            let mut attrs = Some(attrs);
-            for (i, t) in targets.iter_mut().enumerate() {
-                // The last target takes the snapshot itself; only the
-                // ones before it pay for a copy. `None` once taken.
-                let mut snapshot = || if i + 1 < n { attrs.clone() } else { attrs.take() };
-                let cred = |tag: u64| MemberCredential { member: loid, tag };
+            for t in self.targets.write().iter_mut() {
+                // Replace wholesale: the pull model snapshots state. The
+                // copy shares the host's Info part, so it allocates
+                // nothing.
                 let outcome = match t.credentials.get(&loid) {
-                    // Unchanged snapshot: bump freshness only. No index
-                    // rewrite, and the log gets a Touch delta instead
-                    // of a re-evaluated Upsert.
-                    Some(&(tag, seen)) if seen == digest => t.collection.touch(&cred(tag), now),
-                    // Replace wholesale: the pull model snapshots state.
-                    Some(&(tag, _)) => t.collection.replace(
-                        &cred(tag),
-                        snapshot().expect("first use of the snapshot for this target"),
+                    Some(&tag) => t.collection.replace(
+                        &MemberCredential { member: loid, tag },
+                        attrs.clone(),
                         now,
                     ),
                     None => Err(legion_core::LegionError::NoSuchObject(loid)),
                 };
                 match outcome {
-                    Ok(()) => {
-                        t.credentials.get_mut(&loid).expect("matched above").1 = digest;
-                        refreshed += 1;
-                    }
+                    Ok(()) => refreshed += 1,
                     // First contact, or TTL-evicted while unreachable:
-                    // (re-)join. A failed replace has consumed the last
-                    // target's snapshot, so that rare path asks the
-                    // host again.
+                    // (re-)join.
                     Err(legion_core::LegionError::NoSuchObject(_)) => {
-                        let (attrs, digest) = match snapshot() {
-                            Some(attrs) => (attrs, digest),
-                            None => {
-                                let attrs = host.attributes();
-                                let digest = attrs_digest(&attrs);
-                                (attrs, digest)
-                            }
-                        };
-                        let cred = t.collection.join_with(loid, attrs, now);
-                        t.credentials.insert(loid, (cred.tag, digest));
+                        let cred = t.collection.join_with(loid, attrs.clone(), now);
+                        t.credentials.insert(loid, cred.tag);
                         refreshed += 1;
                     }
                     Err(_) => {}
@@ -319,7 +265,7 @@ mod tests {
 
         assert_eq!(d.pull_once(SimTime::ZERO), 1); // join → Upsert
         assert_eq!(d.pull_once(SimTime::from_secs(5)), 1); // no change → Touch
-        // Background load shifts: the next snapshot digests differently.
+        // Background load shifts: the next snapshot's State differs.
         h.set_background_load(legion_hosts::BackgroundLoad::steady(0.7));
         h.reassess(SimTime::from_secs(10));
         assert_eq!(d.pull_once(SimTime::from_secs(10)), 1); // change → Upsert

@@ -19,15 +19,19 @@
 //!   a reader whose result reads none of them re-points to the snapshot
 //!   as for a touch instead of re-evaluating,
 //! * [`DeltaOp::Touch`] — a freshness bump with unchanged attributes
-//!   (the incremental pull daemon's no-change fast path); carries the
-//!   stored snapshot too, and a reader re-points to it without
-//!   re-evaluating anything,
+//!   (a refresh whose snapshot moved no value, or
+//!   [`Collection::touch`](crate::Collection::touch)); carries the stored
+//!   snapshot too, and a reader re-points to it without re-evaluating
+//!   anything,
 //! * [`DeltaOp::Remove`] — a leave or TTL eviction.
 //!
 //! A logged record is immutable and *shared*: the one
 //! `Arc<CollectionRecord>` sits in the store, in the log and in every
 //! cache that patched from it, so logging a change copies no
-//! attributes. Each op re-states the member's post-change state, which
+//! attributes. The record itself shares its host's Info part (name, OS,
+//! vault list) with the record it superseded, so what the log keeps for
+//! a superseded refresh is one small record holding four State values.
+//! Each op re-states the member's post-change state, which
 //! keeps replay from a conservatively old anchor idempotent: an
 //! Upsert's mask is relative to the member's state just before it, so
 //! on replay the last op that changed a given attribute still decides

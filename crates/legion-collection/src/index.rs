@@ -420,13 +420,22 @@ impl AttributeIndexes {
     /// entries. That is safe because equal values index identically
     /// (`NumKey` folds `-0.0` onto `0.0`). `Int(1)` against
     /// `Float(1.0)`, or `NaN` against `NaN`, compare unequal and are
-    /// re-indexed to the same place, which is only redundant.
+    /// re-indexed to the same place, which is only redundant. When the
+    /// two databases share their Info part — a host's refresh of the
+    /// snapshot it was last pulled with — the walk covers only the
+    /// State slots, since nothing else can differ.
     ///
     /// Returns the mask of the names it moved: the names whose value
     /// differs between `old` and `new`, which is what the change log
     /// tells a reader changed.
     pub fn reindex(&mut self, member: Loid, old: &AttributeDb, new: &AttributeDb) -> AttrMask {
         let mut changed = AttrMask::default();
+        if old.shares_info(new) {
+            for ((name, was), (_, is)) in old.state().zip(new.state()) {
+                changed |= self.move_value(member, name, was, is);
+            }
+            return changed;
+        }
         let (mut old, mut new) = (old.iter().peekable(), new.iter().peekable());
         loop {
             let order = match (old.peek(), new.peek()) {
@@ -437,20 +446,30 @@ impl AttributeIndexes {
             };
             let was = if order.is_le() { old.next() } else { None };
             let is = if order.is_ge() { new.next() } else { None };
-            if let (Some((_, a)), Some((_, b))) = (was, is) {
-                if a == b {
-                    continue;
-                }
-            }
-            if let Some((name, value)) = was {
-                self.unindex(member, name, value);
-                changed |= AttrMask::of(name);
-            }
-            if let Some((name, value)) = is {
-                self.index(member, name, value);
-                changed |= AttrMask::of(name);
-            }
+            let (name, _) = was.or(is).expect("the walk advanced a side");
+            changed |= self.move_value(member, name, was.map(|e| e.1), is.map(|e| e.1));
         }
+    }
+
+    /// Moves `member`'s `name` from `was` to `is`, unless the two are
+    /// equal; returns the name's mask if it moved.
+    fn move_value(
+        &mut self,
+        member: Loid,
+        name: &str,
+        was: Option<&AttrValue>,
+        is: Option<&AttrValue>,
+    ) -> AttrMask {
+        if was == is {
+            return AttrMask::default();
+        }
+        if let Some(value) = was {
+            self.unindex(member, name, value);
+        }
+        if let Some(value) = is {
+            self.index(member, name, value);
+        }
+        AttrMask::of(name)
     }
 
     /// Files `member` under `name = value`.
@@ -960,10 +979,14 @@ mod tests {
     }
 
     /// One step: a member's record has some of its attributes set or
-    /// dropped (names from a pool of five), the rest kept as they are.
-    fn arb_step() -> impl Strategy<Value = (u64, Vec<(usize, Option<AttrValue>)>)> {
-        let edit = (0usize..5, prop_oneof![Just(None), arb_value().prop_map(Some)]);
-        (0u64..3, proptest::collection::vec(edit, 0..4))
+    /// dropped (names from a pool of seven, three of them State names),
+    /// the rest kept as they are. The new record is a copy of the old
+    /// one, which shares its Info part until an Info name is written,
+    /// or (`fresh`) is rebuilt entry by entry, so that an equal Info part
+    /// sits behind a different `Arc` beside an equal State.
+    fn arb_step() -> impl Strategy<Value = (u64, bool, Vec<(usize, Option<AttrValue>)>)> {
+        let edit = (0usize..7, prop_oneof![Just(None), arb_value().prop_map(Some)]);
+        (0u64..3, any::<bool>(), proptest::collection::vec(edit, 0..4))
     }
 
     proptest! {
@@ -975,12 +998,24 @@ mod tests {
         /// reports exactly the names whose value it saw change.
         #[test]
         fn reindex_equals_a_rebuild(steps in proptest::collection::vec(arb_step(), 1..40)) {
-            const NAMES: [&str; 5] = ["arch", "host_load", "host_name", "os", "zone"];
+            const NAMES: [&str; 7] = [
+                "arch",
+                "host_draining",
+                "host_free_memory_mb",
+                "host_load",
+                "host_name",
+                "os",
+                "zone",
+            ];
             let mut idx = AttributeIndexes::default();
             let mut records: BTreeMap<u64, AttributeDb> = BTreeMap::new();
-            for (member, edits) in &steps {
+            for (member, fresh, edits) in &steps {
                 let old = records.get(member).cloned().unwrap_or_default();
-                let mut new = old.clone();
+                let mut new = if *fresh {
+                    old.iter().map(|(name, value)| (name.to_string(), value.clone())).collect()
+                } else {
+                    old.clone()
+                };
                 for (name, value) in edits {
                     match value {
                         Some(v) => new.set(NAMES[*name], v.clone()),
@@ -989,12 +1024,16 @@ mod tests {
                 }
                 let changed = idx.reindex(l(*member), &old, &new);
                 // The names whose value differs, read off the two
-                // databases by lookup rather than by a merge walk.
+                // databases by lookup rather than by a merge walk. A
+                // value in an Info part the two share is one value, even
+                // a `NaN`.
+                let shared = old.shares_info(&new);
                 let differs = old
                     .iter()
                     .chain(new.iter())
                     .map(|(name, _)| name)
                     .filter(|name| old.get(name) != new.get(name))
+                    .filter(|name| !shared || new.state().any(|(state, _)| state == *name))
                     .fold(AttrMask::default(), |mask, name| mask | AttrMask::of(name));
                 prop_assert_eq!(changed, differs);
                 records.insert(*member, new);

@@ -11,16 +11,29 @@
 //! query language evaluates against it.
 //!
 //! A host's record is copied often — into the host's own cache, into
-//! every Collection it reports to, into delta logs and query views — so
-//! the layout keeps a copy cheap: one name-sorted vector, well-known
-//! names as a one-byte index into a static table, other names and all
-//! string values behind an `Arc<str>` that a copy shares.
+//! every Collection it reports to, into delta logs, candidate sets and
+//! query views — so the layout keeps a copy cheap. Following GLUE's
+//! split of a resource's description, a database has two parts:
+//!
+//! * *Info*, what rarely changes (name, OS, architecture, vault list):
+//!   one name-sorted vector behind an `Arc`, shared by every copy until
+//!   one of them writes an Info name, which then detaches its own;
+//! * *State*, what every refresh moves (load, free memory, running
+//!   objects, draining): one inline slot per name.
+//!
+//! A copy is therefore a reference-count bump plus four small values,
+//! with no allocation, and two databases whose Info parts are the same
+//! `Arc` can differ only in State. Lookups, iteration, equality and the
+//! `Debug` text see one name-ordered map, as before the split.
+//! Well-known names are a one-byte index into a static table; other
+//! names and all string values sit behind an `Arc<str>` that a copy
+//! shares.
 
 use crate::host::well_known;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A single attribute value.
 ///
@@ -215,6 +228,11 @@ impl AttrMask {
     pub fn intersects(self, other: AttrMask) -> bool {
         self.0 & other.0 != 0
     }
+
+    /// Whether the mask names nothing.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
 }
 
 impl std::ops::BitOr for AttrMask {
@@ -257,16 +275,56 @@ impl Name {
     }
 }
 
+/// The State names — the attributes every refresh moves — in name
+/// order. Each has an inline slot; every other name is Info.
+const STATE_NAMES: [&str; 4] = [
+    well_known::DRAINING,
+    well_known::FREE_MEMORY_MB,
+    well_known::LOAD,
+    well_known::RUNNING_OBJECTS,
+];
+
+/// The slot of a State name.
+fn state_slot(name: &str) -> Option<usize> {
+    STATE_NAMES.iter().position(|&s| s == name)
+}
+
+/// Info entries: sorted by name, names unique, no State name.
+type Entries = Vec<(Name, AttrValue)>;
+
+/// Position of `name` among `entries`, or where it would be inserted.
+fn find(entries: &Entries, name: &str) -> Result<usize, usize> {
+    entries.binary_search_by(|(n, _)| n.as_str().cmp(name))
+}
+
+/// The Info part every empty database shares, so that creating one
+/// allocates nothing.
+fn empty_info() -> Arc<Entries> {
+    static EMPTY: OnceLock<Arc<Entries>> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(Default::default))
+}
+
 /// An ordered attribute database: name → value.
 ///
-/// Entries live in one vector sorted by name, so iteration order (and
-/// therefore Collection record serialization and experiment output) is
-/// deterministic, a lookup is a binary search, and a copy is one
-/// allocation: names and string values are shared, not duplicated.
-#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Iteration is in name order, so Collection record serialization and
+/// experiment output are deterministic. Info entries live in one
+/// name-sorted vector behind an `Arc` (a lookup is a binary search) and
+/// State values in inline slots (see the module docs), so a copy
+/// allocates nothing: names, string values and the Info vector are
+/// shared, and writing an Info name copies the vector only while
+/// another database still shares it.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct AttributeDb {
-    /// Sorted by name; names are unique.
-    entries: Vec<(Name, AttrValue)>,
+    /// Every entry whose name is not a State name.
+    info: Arc<Entries>,
+    /// `STATE_NAMES[i]`'s value, if set.
+    state: [Option<AttrValue>; 4],
+}
+
+impl Default for AttributeDb {
+    fn default() -> Self {
+        AttributeDb { info: empty_info(), state: Default::default() }
+    }
 }
 
 impl AttributeDb {
@@ -275,19 +333,18 @@ impl AttributeDb {
         Self::default()
     }
 
-    /// Position of `name`, or where it would be inserted.
-    fn find(&self, name: &str) -> Result<usize, usize> {
-        self.entries.binary_search_by(|(n, _)| n.as_str().cmp(name))
-    }
-
     /// Sets an attribute, returning the previous value if any.
     pub fn set(&mut self, name: impl AsRef<str>, value: impl Into<AttrValue>) -> Option<AttrValue> {
         let name = name.as_ref();
         let value = value.into();
-        match self.find(name) {
-            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+        if let Some(i) = state_slot(name) {
+            return self.state[i].replace(value);
+        }
+        let info = Arc::make_mut(&mut self.info);
+        match find(info, name) {
+            Ok(i) => Some(std::mem::replace(&mut info[i].1, value)),
             Err(i) => {
-                self.entries.insert(i, (Name::new(name), value));
+                info.insert(i, (Name::new(name), value));
                 None
             }
         }
@@ -301,41 +358,75 @@ impl AttributeDb {
 
     /// Looks up an attribute.
     pub fn get(&self, name: &str) -> Option<&AttrValue> {
-        self.find(name).ok().map(|i| &self.entries[i].1)
+        match state_slot(name) {
+            Some(i) => self.state[i].as_ref(),
+            None => find(&self.info, name).ok().map(|i| &self.info[i].1),
+        }
     }
 
     /// Removes an attribute.
     pub fn remove(&mut self, name: &str) -> Option<AttrValue> {
-        self.find(name).ok().map(|i| self.entries.remove(i).1)
+        if let Some(i) = state_slot(name) {
+            return self.state[i].take();
+        }
+        let i = find(&self.info, name).ok()?;
+        Some(Arc::make_mut(&mut self.info).remove(i).1)
     }
 
     /// Whether the attribute exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.find(name).is_ok()
+        self.get(name).is_some()
     }
 
     /// Number of attributes.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.info.len() + self.state.iter().flatten().count()
     }
 
     /// Whether the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over (name, value) pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &AttrValue)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        let mut info = self.info.iter().map(|(n, v)| (n.as_str(), v)).peekable();
+        let mut state = self.state().filter_map(|(n, v)| Some((n, v?))).peekable();
+        std::iter::from_fn(move || match (info.peek(), state.peek()) {
+            (Some((a, _)), Some((b, _))) if a < b => info.next(),
+            (Some(_), None) => info.next(),
+            _ => state.next(),
+        })
+    }
+
+    /// The State names in name order, each with its value if set.
+    pub fn state(&self) -> impl Iterator<Item = (&'static str, Option<&AttrValue>)> {
+        STATE_NAMES.into_iter().zip(self.state.iter().map(Option::as_ref))
+    }
+
+    /// Whether the two databases hold the very same Info part — one was
+    /// copied from the other and neither has written an Info name since
+    /// — so that they can differ only in [`Self::state`].
+    pub fn shares_info(&self, other: &AttributeDb) -> bool {
+        Arc::ptr_eq(&self.info, &other.info)
     }
 
     /// Overwrites entries from `other` into `self` (push-model update:
     /// "UpdateCollectionEntry" merges fresh host state over the record).
     pub fn merge_from(&mut self, other: &AttributeDb) {
-        for (name, value) in &other.entries {
-            match self.find(name.as_str()) {
-                Ok(i) => self.entries[i].1 = value.clone(),
-                Err(i) => self.entries.insert(i, (name.clone(), value.clone())),
+        for (slot, value) in self.state.iter_mut().zip(&other.state) {
+            if value.is_some() {
+                slot.clone_from(value);
+            }
+        }
+        if other.info.is_empty() || self.shares_info(other) {
+            return;
+        }
+        let info = Arc::make_mut(&mut self.info);
+        for (name, value) in other.info.iter() {
+            match find(info, name.as_str()) {
+                Ok(i) => info[i].1 = value.clone(),
+                Err(i) => info.insert(i, (name.clone(), value.clone())),
             }
         }
     }

@@ -2,7 +2,9 @@
 //! layout the database used to have. Any sequence of `set`, `with`,
 //! `remove`, `merge_from` and `collect` must leave the two with the same
 //! lookups, length, name order, equality and rendering, and a copy must
-//! stay what it was whichever side is mutated afterwards.
+//! stay what it was whichever side is mutated afterwards. The names
+//! drawn mix State names (inline slots) with Info names (the shared,
+//! name-sorted part), so the two parts interleave in name order.
 
 use legion_core::host::well_known;
 use legion_core::{AttrValue, AttributeDb};
@@ -11,14 +13,22 @@ use std::collections::BTreeMap;
 
 type Model = BTreeMap<String, AttrValue>;
 
-/// Well-known names (stored as an index into a table) mixed with
-/// free-form ones (stored as text) that sort before, between and after
-/// them, from a small pool so that operations collide.
+/// Well-known names, State and Info, mixed with free-form ones (stored
+/// as text) that sort before, between and after them, from a small pool
+/// so that operations collide.
+const WELL_KNOWN: [&str; 7] = [
+    well_known::LOAD,
+    well_known::FREE_MEMORY_MB,
+    well_known::RUNNING_OBJECTS,
+    well_known::DRAINING,
+    well_known::HOST_NAME,
+    well_known::ARCH,
+    well_known::COMPATIBLE_VAULTS,
+];
+
 fn arb_name() -> impl Strategy<Value = String> {
     prop_oneof![
-        Just(well_known::LOAD.to_string()),
-        Just(well_known::HOST_NAME.to_string()),
-        Just(well_known::ARCH.to_string()),
+        (0..WELL_KNOWN.len()).prop_map(|i| WELL_KNOWN[i].to_string()),
         Just("host_m".to_string()),
         "[a-c]{1,2}",
         Just("zz".to_string()),
@@ -66,7 +76,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 /// Every name the strategies can draw, present or not.
 fn all_names() -> Vec<String> {
-    let mut names: Vec<String> = [well_known::LOAD, well_known::HOST_NAME, well_known::ARCH]
+    let mut names: Vec<String> = WELL_KNOWN
         .into_iter()
         .chain(["host_m", "zz"])
         .map(String::from)
@@ -156,4 +166,40 @@ proptest! {
             agrees(copy, model_then)?;
         }
     }
+}
+
+/// A copy shares the Info part until it writes an Info name; writing a
+/// State name keeps it shared. Whatever the copy does, the original
+/// keeps every value it had.
+#[test]
+fn a_copy_shares_info_until_it_writes_an_info_name() {
+    let original = AttributeDb::new()
+        .with(well_known::HOST_NAME, "h0")
+        .with(well_known::ARCH, "x86_64")
+        .with(well_known::LOAD, 0.25)
+        .with(well_known::DRAINING, false);
+    let before = format!("{original:?}");
+
+    let mut copy = original.clone();
+    assert!(copy.shares_info(&original));
+    copy.set(well_known::LOAD, 0.75);
+    copy.set(well_known::RUNNING_OBJECTS, 3i64);
+    copy.remove(well_known::DRAINING);
+    copy.merge_from(&AttributeDb::new().with(well_known::FREE_MEMORY_MB, 512i64));
+    // Removing an absent Info name writes nothing.
+    copy.remove("absent");
+    assert!(copy.shares_info(&original), "State writes keep the Info part shared");
+    assert_eq!(copy.get_f64(well_known::LOAD), Some(0.75));
+    assert_eq!(format!("{original:?}"), before);
+
+    copy.set(well_known::ARCH, "sparc");
+    assert!(!copy.shares_info(&original), "an Info write detaches the copy");
+    assert_eq!(copy.get_str(well_known::ARCH), Some("sparc"));
+    assert_eq!(original.get_str(well_known::ARCH), Some("x86_64"));
+    assert_eq!(format!("{original:?}"), before);
+
+    let mut other = original.clone();
+    other.remove(well_known::HOST_NAME);
+    assert!(!other.shares_info(&original), "removing an Info name detaches too");
+    assert_eq!(format!("{original:?}"), before);
 }

@@ -6,7 +6,9 @@
 //! candidate serve, one start + destroy pass over every host (what the
 //! end-to-end benchmark does before it measures anything), and one
 //! reassessment of every host with a changed load pulled back into the
-//! Collection (what each of the benchmark's churn steps does). Further
+//! Collection (what each of the benchmark's churn steps does), and what
+//! a record superseded by such a refresh retains while a change log
+//! still holds it (the churn benchmark logs 65,536 deltas). Further
 //! start + destroy passes, to 64 and then 256 per host, show that what a
 //! host retains does not grow with the placements it has served. Last,
 //! every host is given the 256 long reservations each host of the
@@ -21,7 +23,9 @@
 
 use legion::apps::{Testbed, TestbedConfig};
 use legion::collection::{Collection, DataCollectionDaemon};
-use legion::core::{HostObject, Placement, ReservationRequest, SimDuration, SimTime};
+use legion::core::{
+    HostObject, Loid, LoidKind, Placement, ReservationRequest, SimDuration, SimTime,
+};
 use legion::hosts::BackgroundLoad;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
@@ -195,6 +199,42 @@ fn bytes_per_host_stay_within_budget() {
     assert_eq!(tb.daemon.pull_once(later), HOSTS);
     let (repulled, repulled_allocs) = start.per_host();
 
+    // A record the store has moved past lives on in the change log for
+    // as long as the log keeps its delta. A logging Collection takes
+    // every host in, and each host then reassesses with a changed load
+    // and is pulled again, so the log holds one superseded and one
+    // current record per host. Dropping the log frees the superseded
+    // records and the log's slots; dropping a log of as many slots, all
+    // of them holding current records, frees the slots alone. The
+    // difference is what one superseded, logged record retains.
+    let logged = {
+        let collection = Collection::new(2);
+        collection.enable_deltas(2 * HOSTS);
+        let daemon = DataCollectionDaemon::new(Arc::clone(&collection));
+        for h in &tb.unix_hosts {
+            daemon.track_host(Arc::clone(h) as Arc<dyn HostObject>);
+        }
+        daemon.pull_once(later);
+        for host in &tb.unix_hosts {
+            host.set_background_load(BackgroundLoad::steady(0.25));
+        }
+        let latest = tb.fabric.clock().advance(SimDuration::from_secs(1));
+        for host in &tb.unix_hosts {
+            host.reassess(latest);
+        }
+        assert_eq!(daemon.pull_once(latest), HOSTS);
+        let drop_log = || {
+            let before = Mark::now();
+            collection.enable_deltas(2 * HOSTS);
+            before.live - Mark::now().live
+        };
+        let records_and_slots = drop_log();
+        for _ in 0..2 * HOSTS {
+            collection.join(Loid::fresh(LoidKind::Host), latest);
+        }
+        (records_and_slots - drop_log()) / HOSTS as isize
+    };
+
     // Last, so that no row above moves: every host holds 256 long
     // zero-demand reservations, as the co-allocation benchmark's hosts do.
     let start = Mark::now();
@@ -209,6 +249,7 @@ fn bytes_per_host_stay_within_budget() {
     println!("  after 64 passes         {aged_64:>10}  {aged_64_allocs:>16}");
     println!("  after 256 passes        {aged_256:>10}  {aged_256_allocs:>16}");
     println!("reassess + pull           {repulled:>10}  {repulled_allocs:>16}");
+    println!("logged refresh (deltas on){logged:>10}");
     println!("256 held reservations     {held:>10}  {held_allocs:>16}");
 
     // With one `BTreeMap<String, AttrValue>` per copy of a host's
@@ -296,11 +337,27 @@ fn bytes_per_host_stay_within_budget() {
     //     after 256 passes                32                14
     //   reassess + pull                  704                 6
     //   256 held reservations          37288                 9
-    assert!(built <= 3_850, "{built} B per host after the build");
+    //
+    // With live tokens in 48 bytes, but a host description copied whole
+    // — all 15 attributes, name and vault list included — into every
+    // snapshot a pull took, every record the Collection stored and so
+    // every record its change log kept:
+    //
+    //   bed build (hosts + pull)        3778                30
+    //     of which the pull             1754                 7
+    //   first candidate serve            152                 1
+    //   start + destroy pass              32                12
+    //     after 64 passes                 32                11
+    //     after 256 passes                32                11
+    //   reassess + pull                  704                 6
+    //   logged refresh (deltas on)       704
+    //   256 held reservations          12712                 9
+    // The host and the Collection's record share one Info part.
+    assert!(built <= 3_400, "{built} B per host after the build");
     // One store interns each attribute value once, and posts its id once
     // under each distinct trigram, in a sorted id vector.
-    assert!(pull.0 <= 1_800, "{} B per host in the pull", pull.0);
-    assert!(pull.1 <= 7, "{} allocations per host in the pull", pull.1);
+    assert!(pull.0 <= 1_400, "{} B per host in the pull", pull.0);
+    assert!(pull.1 <= 5, "{} allocations per host in the pull", pull.1);
     assert!(
         aged <= 64,
         "{aged} B per host retained by a start + destroy pass"
@@ -314,16 +371,21 @@ fn bytes_per_host_stay_within_budget() {
         aged_64.max(aged_256) <= aged + 32,
         "{aged_64} / {aged_256} B per host after 64 / 256 passes, {aged} B after one"
     );
-    // Span attributes are formatted only when a span records.
+    // Span attributes are formatted only when a span records, and an
+    // instance's copy of its host's attributes allocates nothing.
     assert!(
-        aged_allocs <= 12,
+        aged_allocs <= 10,
         "{aged_allocs} allocations per start + destroy"
     );
-    // A pull re-indexes only the attributes whose value moved: 6 today.
+    // A refresh copies no Info, and re-indexes only the State values
+    // that moved: 160 B and 2 allocations today.
+    assert!(repulled <= 320, "{repulled} B per host per reassess + pull");
     assert!(
-        repulled_allocs <= 8,
+        repulled_allocs <= 3,
         "{repulled_allocs} allocations per reassess + pull"
     );
+    // A superseded record shares its Info part with its successor.
+    assert!(logged <= 256, "{logged} B per superseded, logged record");
     // A live entry keeps 48 bytes of its token: 256 of them in a 12 KiB
     // list, beside the window edges' map.
     assert!(
