@@ -126,10 +126,11 @@ impl Testbed {
         let mut host_seq = 0u64;
 
         for d in 0..config.domains {
-            let domain = format!("site{d}.edu");
+            // One copy of the domain's text, shared by every host in it.
+            let domain: Arc<str> = format!("site{d}.edu").into();
             let vault = Arc::new(StandardVault::new(VaultConfig {
                 name: format!("vault-{d}"),
-                domain: domain.clone(),
+                domain: domain.to_string(),
                 ..Default::default()
             }));
             vault_loids.push(legion_core::VaultObject::loid(&*vault));
@@ -166,7 +167,7 @@ impl Testbed {
 
             for i in 0..config.unix_per_domain {
                 let h = add_standard(
-                    HostConfig::unix(format!("u{d}-{i}"), domain.clone()),
+                    HostConfig::unix(format!("u{d}-{i}"), Arc::clone(&domain)),
                     &fabric,
                 );
                 host_loids.push(h.loid());
@@ -175,7 +176,7 @@ impl Testbed {
             }
             for i in 0..config.smp_per_domain {
                 let h = add_standard(
-                    HostConfig::smp(format!("smp{d}-{i}"), domain.clone(), 4),
+                    HostConfig::smp(format!("smp{d}-{i}"), Arc::clone(&domain), 4),
                     &fabric,
                 );
                 host_loids.push(h.loid());
@@ -184,7 +185,7 @@ impl Testbed {
             }
             for i in 0..config.batch_per_domain {
                 let inner = add_standard(
-                    HostConfig::smp(format!("bq{d}-{i}"), domain.clone(), 8),
+                    HostConfig::smp(format!("bq{d}-{i}"), Arc::clone(&domain), 8),
                     &fabric,
                 );
                 let queue: Box<dyn legion_hosts::QueueSim> = match i % 3 {

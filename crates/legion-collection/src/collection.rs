@@ -20,12 +20,15 @@
 //!
 //! Records and their secondary indexes live in one store behind one
 //! lock, so the two can never drift apart and every attribute value is
-//! interned once, its id posted once under each distinct trigram. Concurrency lives in
-//! virtual time on one event queue; the lock only lets callers share
-//! the collection through an `Arc`. Every multi-record result is in
-//! member order as it is built: the record map walks in member order,
-//! and every index lookup, intersection and union returns sorted
-//! members, so nothing is sorted after the fact.
+//! interned once, its id posted once under each distinct trigram. Each
+//! member holds a `u32` index slot from join to leave, kept beside its
+//! record, and the indexes post slots rather than `Loid`s. Concurrency
+//! lives in virtual time on one event queue; the lock only lets callers
+//! share the collection through an `Arc`. Every multi-record result is
+//! in member order as it is built: the record map walks in member
+//! order, every index lookup maps its slots back to members and sorts
+//! them once, and every intersection and union of lookups keeps that
+//! order, so the store sorts no result after the fact.
 
 use crate::delta::{ChangeLog, DeltaBatch, DeltaOp};
 use crate::index::AttributeIndexes;
@@ -38,7 +41,7 @@ use legion_core::{AttrMask, AttrValue, AttributeDb, LegionError, Loid, LoidKind,
 use legion_fabric::MetricsLedger;
 use legion_trace::TraceSink;
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -54,17 +57,25 @@ use std::sync::Arc;
 /// snapshot and leaves the indexes alone.
 #[derive(Default)]
 struct Store {
-    /// Member → shared record snapshot. Queries clone the `Arc`, not
-    /// the record, so results share structure with the store — and so
-    /// do the change log and the candidate caches. A stored
-    /// snapshot is therefore immutable: an attribute change installs a
-    /// freshly built record, and only [`Collection::touch`] edits in
-    /// place (`Arc::make_mut`, copying when anyone else holds it).
-    records: BTreeMap<Loid, Arc<CollectionRecord>>,
-    /// Per-attribute string/trigram/numeric/presence indexes,
-    /// maintained incrementally on every join/update/replace/leave/
-    /// evict.
+    /// Member → shared record snapshot and the member's index slot.
+    /// Queries clone the `Arc`, not the record, so results share
+    /// structure with the store — and so do the change log and the
+    /// candidate caches. A stored snapshot is therefore immutable: an
+    /// attribute change installs a freshly built record, and only
+    /// [`Collection::touch`] edits in place (`Arc::make_mut`, copying
+    /// when anyone else holds it).
+    records: BTreeMap<Loid, Stored>,
+    /// Per-attribute string/trigram/numeric/presence indexes over member
+    /// slots, maintained incrementally on every join/update/replace/
+    /// leave/evict.
     indexes: AttributeIndexes,
+}
+
+/// One member's entry in the store.
+struct Stored {
+    record: Arc<CollectionRecord>,
+    /// The member's slot in the indexes, held from join to leave.
+    slot: u32,
 }
 
 impl Store {
@@ -73,19 +84,33 @@ impl Store {
     /// described — is re-indexed from its outgoing record, so only the
     /// attributes that differ move.
     fn insert(&mut self, record: Arc<CollectionRecord>) {
-        let member = record.member;
-        match self.records.insert(member, Arc::clone(&record)) {
-            Some(old) => {
-                self.indexes.reindex(member, &old.attrs, &record.attrs);
+        match self.records.entry(record.member) {
+            btree_map::Entry::Occupied(mut entry) => {
+                let stored = entry.get_mut();
+                self.indexes.reindex(stored.slot, &stored.record.attrs, &record.attrs);
+                stored.record = record;
             }
-            None => self.indexes.insert(member, &record.attrs),
+            btree_map::Entry::Vacant(entry) => {
+                let slot = self.indexes.join(record.member, &record.attrs);
+                entry.insert(Stored { record, slot });
+            }
         }
     }
 
     fn remove(&mut self, member: Loid) -> Option<Arc<CollectionRecord>> {
-        let old = self.records.remove(&member)?;
-        self.indexes.remove(member, &old.attrs);
-        Some(old)
+        let Stored { record, slot } = self.records.remove(&member)?;
+        self.indexes.leave(slot, &record.attrs);
+        Some(record)
+    }
+
+    /// `member`'s record.
+    fn get(&self, member: &Loid) -> Option<&Arc<CollectionRecord>> {
+        self.records.get(member).map(|stored| &stored.record)
+    }
+
+    /// Every record, in member order.
+    fn all(&self) -> impl Iterator<Item = &Arc<CollectionRecord>> {
+        self.records.values().map(|stored| &stored.record)
     }
 
     /// Installs the snapshot that succeeds `member`'s current one —
@@ -102,15 +127,16 @@ impl Store {
         now: SimTime,
         next: impl FnOnce(&AttributeDb) -> AttributeDb,
     ) -> Result<(Arc<CollectionRecord>, AttrMask), LegionError> {
-        let slot = self.records.get_mut(&member).ok_or(LegionError::NoSuchObject(member))?;
+        let stored = self.records.get_mut(&member).ok_or(LegionError::NoSuchObject(member))?;
+        let old = &stored.record;
         let rec = Arc::new(CollectionRecord {
             member,
-            attrs: next(&slot.attrs),
-            joined_at: slot.joined_at,
+            attrs: next(&old.attrs),
+            joined_at: old.joined_at,
             updated_at: now,
         });
-        let changed = self.indexes.reindex(member, &slot.attrs, &rec.attrs);
-        *slot = Arc::clone(&rec);
+        let changed = self.indexes.reindex(stored.slot, &old.attrs, &rec.attrs);
+        stored.record = Arc::clone(&rec);
         Ok((rec, changed))
     }
 }
@@ -417,10 +443,10 @@ impl Collection {
     pub fn touch(&self, cred: &MemberCredential, now: SimTime) -> Result<(), LegionError> {
         self.authenticate(cred)?;
         let mut store = self.store.write();
-        let rec =
+        let stored =
             store.records.get_mut(&cred.member).ok_or(LegionError::NoSuchObject(cred.member))?;
-        Arc::make_mut(rec).updated_at = now;
-        self.log_delta(DeltaOp::Touch(Arc::clone(rec)));
+        Arc::make_mut(&mut stored.record).updated_at = now;
+        self.log_delta(DeltaOp::Touch(Arc::clone(&stored.record)));
         self.bump_epoch();
         drop(store);
         self.bump(|m| MetricsLedger::bump(&m.collection_updates));
@@ -490,7 +516,7 @@ impl Collection {
         match plan {
             Some(plan) => {
                 for member in plan.execute(&store.indexes) {
-                    if let Some(rec) = store.records.get(&member) {
+                    if let Some(rec) = store.get(&member) {
                         if exact {
                             out.push(Arc::clone(rec));
                         } else {
@@ -504,9 +530,7 @@ impl Collection {
             }
             None => {
                 scanned = total as u64;
-                out.extend(
-                    store.records.values().filter_map(|rec| eval_record(query, &derived, rec)),
-                );
+                out.extend(store.all().filter_map(|rec| eval_record(query, &derived, rec)));
             }
         }
         self.bump(|m| MetricsLedger::bump_by(&m.collection_records_scanned, scanned));
@@ -545,8 +569,7 @@ impl Collection {
         let derived = self.derived.read();
         let store = self.store.read();
         let total = store.records.len();
-        let out: Vec<_> =
-            store.records.values().filter_map(|rec| eval_record(query, &derived, rec)).collect();
+        let out: Vec<_> = store.all().filter_map(|rec| eval_record(query, &derived, rec)).collect();
         self.bump(|m| MetricsLedger::bump_by(&m.collection_records_scanned, total as u64));
         span.attr("scanned", total as i64);
         span.attr("hits", out.len() as i64);
@@ -557,12 +580,12 @@ impl Collection {
     /// Returns every record (diagnostics; not part of Fig. 4), in
     /// member order.
     pub fn dump(&self) -> Vec<Arc<CollectionRecord>> {
-        self.store.read().records.values().cloned().collect()
+        self.store.read().all().cloned().collect()
     }
 
     /// Reads one member's record.
     pub fn get(&self, member: Loid) -> Option<Arc<CollectionRecord>> {
-        self.store.read().records.get(&member).cloned()
+        self.store.read().get(&member).cloned()
     }
 
     /// Number of records.
@@ -588,8 +611,7 @@ impl Collection {
     pub fn max_staleness(&self, now: SimTime) -> legion_core::SimDuration {
         self.store
             .read()
-            .records
-            .values()
+            .all()
             .map(|r| r.staleness(now))
             .max()
             .unwrap_or(legion_core::SimDuration::ZERO)
@@ -609,15 +631,14 @@ impl Collection {
         ttl: legion_core::SimDuration,
     ) -> (Vec<Arc<CollectionRecord>>, usize) {
         let store = self.store.read();
-        let fresh: Vec<_> =
-            store.records.values().filter(|r| r.staleness(now) <= ttl).cloned().collect();
+        let fresh: Vec<_> = store.all().filter(|r| r.staleness(now) <= ttl).cloned().collect();
         let stale = store.records.len() - fresh.len();
         (fresh, stale)
     }
 
     /// Convenience for members: read an attribute from a record.
     pub fn member_attr(&self, member: Loid, name: &str) -> Option<AttrValue> {
-        self.store.read().records.get(&member).and_then(|r| r.attrs.get(name).cloned())
+        self.store.read().get(&member).and_then(|r| r.attrs.get(name).cloned())
     }
 
     /// Evicts every record staler than `ttl` at `now`, returning the
@@ -635,7 +656,7 @@ impl Collection {
     ) -> Vec<Loid> {
         let mut store = self.store.write();
         let dead: Vec<Loid> =
-            store.records.values().filter(|r| r.staleness(now) > ttl).map(|r| r.member).collect();
+            store.all().filter(|r| r.staleness(now) > ttl).map(|r| r.member).collect();
         for &member in &dead {
             self.remove_logged(&mut store, member);
             self.bump(|m| MetricsLedger::bump(&m.collection_evictions));

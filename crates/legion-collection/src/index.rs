@@ -23,10 +23,15 @@
 //!   above: it stores only the members whose value no value index holds
 //!   (booleans, lists, `NaN`).
 //!
-//! Every value index maps a key to a bucket of members: a key held by
-//! one member — a host's name — costs that member inline, and only a
-//! shared key keeps a `BTreeSet`. Value texts are the records' own
-//! `Arc<str>`s, shared with the store, not copied.
+//! Every index keys members by a dense `u32` **slot**, not by their
+//! 24-byte `Loid`: a member takes a slot when it joins and frees it when
+//! it leaves or is evicted, and the next member to join reuses it, as
+//! the trigram index reuses value ids. A slot → `Loid` table turns
+//! slots back into members. Every value index maps a key to a bucket of
+//! slots: a key held by one member — a host's name — costs that slot
+//! inline, and only a shared key keeps a `BTreeSet<u32>`, at about a
+//! quarter of what a set of `Loid`s costs per member. Value texts are the
+//! records' own `Arc<str>`s, shared with the store, not copied.
 //!
 //! Indexes are maintained incrementally on join/update/replace/leave/
 //! evict under the same lock as the record map, so they can never
@@ -36,7 +41,11 @@
 //! which moves only the attributes whose value changed: a reassessed
 //! host's load and free memory, not its name. Lookups return
 //! **sorted member vectors** so conjunct candidate sets intersect by
-//! linear merge before any residual filter runs. Every lookup is
+//! linear merge before any residual filter runs: each maps the slots it
+//! found back to `Loid`s and sorts them once. Slots follow join order,
+//! and hosts join in the order their LOIDs were minted, so a one-bucket
+//! list is already in member order and its sort is a linear check; a
+//! slot reused by a later joiner is where the sort does work. Every lookup is
 //! *superset-correct* for its predicate; several (equality, ranges,
 //! presence, verified substring) are exact, which the planner tracks to
 //! skip residual re-evaluation entirely.
@@ -89,14 +98,15 @@ impl Ord for NumKey {
     }
 }
 
-/// The members under one key. One member is stored inline; several
-/// keep a set, so churn on a widely shared key stays O(log n). The set
-/// is boxed so that a bucket is one `Loid` wide. Never empty.
+/// The members under one key, as member slots. One member is stored
+/// inline; several keep a set, so churn on a widely shared key stays
+/// O(log n). The set is boxed so that a bucket is two words wide. Never
+/// empty.
 #[derive(Debug)]
 enum Bucket {
-    One(Loid),
+    One(u32),
     #[allow(clippy::box_collection)] // the width, explained above
-    Many(Box<BTreeSet<Loid>>),
+    Many(Box<BTreeSet<u32>>),
 }
 
 impl Bucket {
@@ -107,8 +117,8 @@ impl Bucket {
         }
     }
 
-    /// The members, sorted.
-    fn members(&self) -> impl Iterator<Item = Loid> + '_ {
+    /// The member slots, in slot order.
+    fn slots(&self) -> impl Iterator<Item = u32> + '_ {
         let (one, many) = match self {
             Bucket::One(m) => (Some(*m), None),
             Bucket::Many(set) => (None, Some(&**set)),
@@ -117,7 +127,7 @@ impl Bucket {
     }
 
     /// Adds `m`; whether it was new.
-    fn insert(&mut self, m: Loid) -> bool {
+    fn insert(&mut self, m: u32) -> bool {
         match self {
             Bucket::One(x) if *x == m => false,
             Bucket::One(x) => {
@@ -130,7 +140,7 @@ impl Bucket {
 
     /// Removes `m`. A bucket is never left empty: when `m` is its last
     /// member it stays as it is and the caller drops it.
-    fn remove(&mut self, m: Loid) -> Removal {
+    fn remove(&mut self, m: u32) -> Removal {
         match self {
             Bucket::One(x) if *x == m => Removal::Last,
             Bucket::One(_) => Removal::Absent,
@@ -157,27 +167,27 @@ enum Removal {
     Last,
 }
 
-/// Adds `member` under `key`. Returns whether it is new there, and
+/// Adds member `slot` under `key`. Returns whether it is new there, and
 /// whether the key is.
-fn add_member<K: Ord>(map: &mut BTreeMap<K, Bucket>, key: K, member: Loid) -> (bool, bool) {
+fn add_member<K: Ord>(map: &mut BTreeMap<K, Bucket>, key: K, slot: u32) -> (bool, bool) {
     match map.entry(key) {
-        Entry::Vacant(slot) => {
-            slot.insert(Bucket::One(member));
+        Entry::Vacant(entry) => {
+            entry.insert(Bucket::One(slot));
             (true, true)
         }
-        Entry::Occupied(mut slot) => (slot.get_mut().insert(member), false),
+        Entry::Occupied(mut entry) => (entry.get_mut().insert(slot), false),
     }
 }
 
-/// Removes `member` from under `key`. Returns whether it was there, and
-/// whether the key went with it.
-fn remove_member<K, Q>(map: &mut BTreeMap<K, Bucket>, key: &Q, member: Loid) -> (bool, bool)
+/// Removes member `slot` from under `key`. Returns whether it was there,
+/// and whether the key went with it.
+fn remove_member<K, Q>(map: &mut BTreeMap<K, Bucket>, key: &Q, slot: u32) -> (bool, bool)
 where
     K: Ord + Borrow<Q>,
     Q: Ord + ?Sized,
 {
     let Some(bucket) = map.get_mut(key) else { return (false, false) };
-    match bucket.remove(member) {
+    match bucket.remove(slot) {
         Removal::Absent => (false, false),
         Removal::Removed => (true, false),
         Removal::Last => {
@@ -338,16 +348,22 @@ struct NumericIndex {
     total: usize,
 }
 
-/// The per-attribute secondary indexes.
+/// The per-attribute secondary indexes, keyed by member slot.
 #[derive(Debug, Default)]
 pub struct AttributeIndexes {
     /// attr name → string index.
     strings: HashMap<String, StringIndex>,
     /// attr name → numeric index (values coerced to `f64`).
     numbers: HashMap<String, NumericIndex>,
-    /// attr name → members whose value neither index above holds, so
-    /// that presence is the union of the three.
-    unindexed: HashMap<String, BTreeSet<Loid>>,
+    /// attr name → member slots whose value neither index above holds,
+    /// so that presence is the union of the three.
+    unindexed: HashMap<String, BTreeSet<u32>>,
+    /// Slot → member; `None` while the slot waits in `free`.
+    members: Vec<Option<Loid>>,
+    /// Slots released by members that left, handed out again before
+    /// `members` grows, so slots stay below the most members ever live
+    /// at once.
+    free: Vec<u32>,
 }
 
 /// Sorts a merged candidate list and drops duplicates (buckets of one
@@ -356,11 +372,6 @@ fn sorted_dedup(mut v: Vec<Loid>) -> Vec<Loid> {
     v.sort_unstable();
     v.dedup();
     v
-}
-
-/// The members of `buckets`, sorted, each once.
-fn members_of<'a>(buckets: impl Iterator<Item = &'a Bucket>) -> Vec<Loid> {
-    sorted_dedup(buckets.flat_map(Bucket::members).collect())
 }
 
 /// Linear-merge intersection of two sorted member lists.
@@ -399,22 +410,53 @@ fn capped_sum<'a>(buckets: impl Iterator<Item = &'a Bucket>, cap: usize) -> usiz
 }
 
 impl AttributeIndexes {
-    /// Indexes every attribute of a new member's record: a
-    /// [`Self::reindex`] from nothing.
-    pub fn insert(&mut self, member: Loid, attrs: &AttributeDb) {
-        self.reindex(member, &AttributeDb::new(), attrs);
+    /// Gives a new member a slot and indexes every attribute of its
+    /// record there: a [`Self::reindex`] from nothing. Returns the slot,
+    /// which names the member in every later call until it leaves.
+    pub fn join(&mut self, member: Loid, attrs: &AttributeDb) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let slot = u32::try_from(self.members.len()).expect("under 2^32 live members");
+                self.members.push(None);
+                slot
+            }
+        };
+        self.members[slot as usize] = Some(member);
+        self.reindex(slot, &AttributeDb::new(), attrs);
+        slot
     }
 
     /// Un-indexes every attribute of a leaving member's record (the
-    /// exact `attrs` last indexed for it): a [`Self::reindex`] to
-    /// nothing.
-    pub fn remove(&mut self, member: Loid, attrs: &AttributeDb) {
-        self.reindex(member, attrs, &AttributeDb::new());
+    /// exact `attrs` last indexed for it) — a [`Self::reindex`] to
+    /// nothing — and frees its slot for the next member to join.
+    pub fn leave(&mut self, slot: u32, attrs: &AttributeDb) {
+        self.reindex(slot, attrs, &AttributeDb::new());
+        self.members[slot as usize] = None;
+        self.free.push(slot);
     }
 
-    /// Moves `member` from `old` (the exact attributes last indexed for
-    /// it) to `new`, touching only what differs. One merge walk over
-    /// the two name-ordered databases un-indexes an old entry and
+    /// The member in a live slot (every slot a posting holds is live).
+    fn member(&self, slot: u32) -> Loid {
+        self.members[slot as usize].expect("posted slots are live")
+    }
+
+    /// The members in `slots`, sorted once, each once. Buckets list
+    /// their slots in slot order, and slots follow join order, so where
+    /// members join in the order their LOIDs were minted a one-bucket
+    /// list is already in member order and the sort only checks it.
+    fn members_of(&self, slots: impl Iterator<Item = u32>) -> Vec<Loid> {
+        sorted_dedup(slots.map(|slot| self.member(slot)).collect())
+    }
+
+    /// The members of `buckets`, sorted, each once.
+    fn members_in<'a>(&self, buckets: impl Iterator<Item = &'a Bucket>) -> Vec<Loid> {
+        self.members_of(buckets.flat_map(Bucket::slots))
+    }
+
+    /// Moves the member in `slot` from `old` (the exact attributes last
+    /// indexed for it) to `new`, touching only what differs. One merge
+    /// walk over the two name-ordered databases un-indexes an old entry and
     /// indexes a new one where a name is on one side only or its two
     /// values are `!=`; an attribute whose value is unchanged keeps its
     /// entries. That is safe because equal values index identically
@@ -428,11 +470,11 @@ impl AttributeIndexes {
     /// Returns the mask of the names it moved: the names whose value
     /// differs between `old` and `new`, which is what the change log
     /// tells a reader changed.
-    pub fn reindex(&mut self, member: Loid, old: &AttributeDb, new: &AttributeDb) -> AttrMask {
+    pub fn reindex(&mut self, slot: u32, old: &AttributeDb, new: &AttributeDb) -> AttrMask {
         let mut changed = AttrMask::default();
         if old.shares_info(new) {
             for ((name, was), (_, is)) in old.state().zip(new.state()) {
-                changed |= self.move_value(member, name, was, is);
+                changed |= self.move_value(slot, name, was, is);
             }
             return changed;
         }
@@ -447,15 +489,15 @@ impl AttributeIndexes {
             let was = if order.is_le() { old.next() } else { None };
             let is = if order.is_ge() { new.next() } else { None };
             let (name, _) = was.or(is).expect("the walk advanced a side");
-            changed |= self.move_value(member, name, was.map(|e| e.1), is.map(|e| e.1));
+            changed |= self.move_value(slot, name, was.map(|e| e.1), is.map(|e| e.1));
         }
     }
 
-    /// Moves `member`'s `name` from `was` to `is`, unless the two are
+    /// Moves `slot`'s `name` from `was` to `is`, unless the two are
     /// equal; returns the name's mask if it moved.
     fn move_value(
         &mut self,
-        member: Loid,
+        slot: u32,
         name: &str,
         was: Option<&AttrValue>,
         is: Option<&AttrValue>,
@@ -464,19 +506,19 @@ impl AttributeIndexes {
             return AttrMask::default();
         }
         if let Some(value) = was {
-            self.unindex(member, name, value);
+            self.unindex(slot, name, value);
         }
         if let Some(value) = is {
-            self.index(member, name, value);
+            self.index(slot, name, value);
         }
         AttrMask::of(name)
     }
 
-    /// Files `member` under `name = value`.
-    fn index(&mut self, member: Loid, name: &str, value: &AttrValue) {
+    /// Files `slot` under `name = value`.
+    fn index(&mut self, slot: u32, name: &str, value: &AttrValue) {
         if let AttrValue::Str(s) = value {
             let si = named(&mut self.strings, name);
-            let (added, new_value) = add_member(&mut si.by_val, Arc::clone(s), member);
+            let (added, new_value) = add_member(&mut si.by_val, Arc::clone(s), slot);
             if new_value {
                 si.trigrams.add_value(s);
             }
@@ -485,22 +527,22 @@ impl AttributeIndexes {
             }
         } else if let Some(key) = value.as_f64().and_then(NumKey::new) {
             let ni = named(&mut self.numbers, name);
-            if add_member(&mut ni.by_val, key, member).0 {
+            if add_member(&mut ni.by_val, key, slot).0 {
                 ni.total += 1;
             }
         } else {
             // Bools, lists and NaN are only findable via `exists()`;
             // comparisons on them fall back to the scan path.
-            named(&mut self.unindexed, name).insert(member);
+            named(&mut self.unindexed, name).insert(slot);
         }
     }
 
-    /// Takes `member` out from under `name = value`, dropping whatever
+    /// Takes `slot` out from under `name = value`, dropping whatever
     /// that leaves empty.
-    fn unindex(&mut self, member: Loid, name: &str, value: &AttrValue) {
+    fn unindex(&mut self, slot: u32, name: &str, value: &AttrValue) {
         if let AttrValue::Str(s) = value {
             let Some(si) = self.strings.get_mut(name) else { return };
-            let (removed, value_gone) = remove_member(&mut si.by_val, &**s, member);
+            let (removed, value_gone) = remove_member(&mut si.by_val, &**s, slot);
             if value_gone {
                 si.trigrams.remove_value(s);
             }
@@ -512,14 +554,14 @@ impl AttributeIndexes {
             }
         } else if let Some(key) = value.as_f64().and_then(NumKey::new) {
             let Some(ni) = self.numbers.get_mut(name) else { return };
-            if remove_member(&mut ni.by_val, &key, member).0 {
+            if remove_member(&mut ni.by_val, &key, slot).0 {
                 ni.total -= 1;
             }
             if ni.by_val.is_empty() {
                 self.numbers.remove(name);
             }
         } else if let Some(set) = self.unindexed.get_mut(name) {
-            set.remove(&member);
+            set.remove(&slot);
             if set.is_empty() {
                 self.unindexed.remove(name);
             }
@@ -531,13 +573,12 @@ impl AttributeIndexes {
         self.strings
             .get(attr)
             .and_then(|si| si.by_val.get(value))
-            .map(|b| b.members().collect())
-            .unwrap_or_default()
+            .map_or_else(Vec::new, |b| self.members_of(b.slots()))
     }
 
     /// Members whose `attr` is a string starting with `prefix`, sorted.
     pub fn lookup_str_prefix(&self, attr: &str, prefix: &str) -> Vec<Loid> {
-        self.strings.get(attr).map_or_else(Vec::new, |si| members_of(si.with_prefix(prefix)))
+        self.strings.get(attr).map_or_else(Vec::new, |si| self.members_in(si.with_prefix(prefix)))
     }
 
     /// Members whose `attr` is a string containing `needle`, sorted.
@@ -549,9 +590,10 @@ impl AttributeIndexes {
     pub fn lookup_str_contains(&self, attr: &str, needle: &str) -> Vec<Loid> {
         let Some(si) = self.strings.get(attr) else { return Vec::new() };
         if needle.len() >= 3 {
-            members_of(si.containing(needle))
+            self.members_in(si.containing(needle))
         } else {
-            members_of(si.by_val.iter().filter(|(value, _)| value.contains(needle)).map(|(_, b)| b))
+            let buckets = si.by_val.iter().filter(|(value, _)| value.contains(needle));
+            self.members_in(buckets.map(|(_, b)| b))
         }
     }
 
@@ -559,7 +601,7 @@ impl AttributeIndexes {
     /// any of `ranges` (inclusive), sorted.
     pub fn lookup_str_first_ranges(&self, attr: &str, ranges: &[(char, char)]) -> Vec<Loid> {
         let Some(si) = self.strings.get(attr) else { return Vec::new() };
-        members_of(ranges.iter().flat_map(|&(lo, hi)| si.first_in(lo, hi)))
+        self.members_in(ranges.iter().flat_map(|&(lo, hi)| si.first_in(lo, hi)))
     }
 
     /// Members whose `attr` is numeric and inside `(lo, hi)`, sorted.
@@ -569,7 +611,7 @@ impl AttributeIndexes {
             return Vec::new();
         };
         let Some(ni) = self.numbers.get(attr) else { return Vec::new() };
-        members_of(ni.by_val.range((lo, hi)).map(|(_, bucket)| bucket))
+        self.members_in(ni.by_val.range((lo, hi)).map(|(_, bucket)| bucket))
     }
 
     /// Members carrying `attr` at all, sorted.
@@ -577,7 +619,7 @@ impl AttributeIndexes {
         let strings = self.strings.get(attr).into_iter().flat_map(|si| si.by_val.values());
         let numbers = self.numbers.get(attr).into_iter().flat_map(|ni| ni.by_val.values());
         let unindexed = self.unindexed.get(attr).into_iter().flatten().copied();
-        sorted_dedup(strings.chain(numbers).flat_map(Bucket::members).chain(unindexed).collect())
+        self.members_of(strings.chain(numbers).flat_map(Bucket::slots).chain(unindexed))
     }
 
     /// Hit count of [`Self::lookup_str_eq`] without materializing it.
@@ -913,18 +955,50 @@ mod tests {
     }
 
     impl AttributeIndexes {
+        /// Joins `member`, wherever its slot lands.
+        fn insert(&mut self, member: Loid, attrs: &AttributeDb) {
+            self.join(member, attrs);
+        }
+
+        /// The slot `member` holds.
+        fn slot_of(&self, member: Loid) -> u32 {
+            let at = self.members.iter().position(|&m| m == Some(member));
+            at.expect("a live member") as u32
+        }
+
+        /// `member` leaves with `attrs`, the record last indexed for it.
+        fn remove(&mut self, member: Loid, attrs: &AttributeDb) {
+            self.leave(self.slot_of(member), attrs);
+        }
+
+        /// The members under `slots`, sorted here rather than by the
+        /// lookups' own mapping, so that the dump checks that mapping.
+        fn resolved(&self, slots: impl Iterator<Item = u32>) -> Vec<Loid> {
+            let mut members: Vec<Loid> = slots.map(|slot| self.member(slot)).collect();
+            members.sort_unstable();
+            members
+        }
+
+        /// A bucket's representation and its members, sorted.
+        fn show(&self, bucket: &Bucket) -> String {
+            let kind = if matches!(bucket, Bucket::One(_)) { "one" } else { "many" };
+            format!("{kind} {:?}", self.resolved(bucket.slots()))
+        }
+
         /// Everything the indexes hold, one sorted line per bucket:
         /// string and numeric buckets (with their representation),
-        /// totals, the `unindexed` sets, the interned values, and every
-        /// trigram posting resolved to value text. Ids are left out,
-        /// since which id a value gets depends on history; two index
-        /// sets that dump equally answer every lookup alike.
+        /// totals, the `unindexed` sets, the live members, the interned
+        /// values, and every trigram posting resolved to value text.
+        /// Ids and slots are resolved to what they name and left out,
+        /// since which id a value gets, or which slot a member gets,
+        /// depends on history; two index sets that dump equally answer
+        /// every lookup alike.
         fn canonical(&self) -> Vec<String> {
             let mut out = Vec::new();
             for (name, si) in &self.strings {
                 out.push(format!("{name} str total {}", si.total));
                 for (value, bucket) in &si.by_val {
-                    out.push(format!("{name} str {value:?} {bucket:?}"));
+                    out.push(format!("{name} str {value:?} {}", self.show(bucket)));
                 }
                 let t = &si.trigrams;
                 assert_eq!(t.ids.len() + t.free.len(), t.values.len(), "{name}: ids leak");
@@ -945,12 +1019,19 @@ mod tests {
             for (name, ni) in &self.numbers {
                 out.push(format!("{name} num total {}", ni.total));
                 for (key, bucket) in &ni.by_val {
-                    out.push(format!("{name} num {:?} {bucket:?}", key.0));
+                    out.push(format!("{name} num {:?} {}", key.0, self.show(bucket)));
                 }
             }
             for (name, set) in &self.unindexed {
-                out.push(format!("{name} unindexed {set:?}"));
+                out.push(format!("{name} unindexed {:?}", self.resolved(set.iter().copied())));
             }
+            let live = self.members.iter().flatten().count();
+            assert_eq!(live + self.free.len(), self.members.len(), "slots leak");
+            for &slot in &self.free {
+                assert!(self.members[slot as usize].is_none(), "free slot {slot} is live");
+            }
+            out.push(format!("members {:?}", self.resolved((0..self.members.len() as u32)
+                .filter(|&slot| self.members[slot as usize].is_some()))));
             out.sort_unstable();
             out
         }
@@ -980,37 +1061,88 @@ mod tests {
 
     /// One step: a member's record has some of its attributes set or
     /// dropped (names from a pool of seven, three of them State names),
-    /// the rest kept as they are. The new record is a copy of the old
-    /// one, which shares its Info part until an Info name is written,
-    /// or (`fresh`) is rebuilt entry by entry, so that an equal Info part
+    /// the rest kept as they are — a member not present joins with them —
+    /// or (`None`) the member leaves. The new record is a copy of the old
+    /// one, which shares its Info part until an Info name is written, or
+    /// (`fresh`) is rebuilt entry by entry, so that an equal Info part
     /// sits behind a different `Arc` beside an equal State.
-    fn arb_step() -> impl Strategy<Value = (u64, bool, Vec<(usize, Option<AttrValue>)>)> {
-        let edit = (0usize..7, prop_oneof![Just(None), arb_value().prop_map(Some)]);
-        (0u64..3, any::<bool>(), proptest::collection::vec(edit, 0..4))
+    type Step = (u64, Option<(bool, Vec<(usize, Option<AttrValue>)>)>);
+
+    /// Members are drawn from five, and one step in five is a leave, so
+    /// a slot a member frees is often taken by one whose LOID sorts
+    /// before members in higher slots.
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let write = || {
+            let edit = (0usize..7, prop_oneof![Just(None), arb_value().prop_map(Some)]);
+            (any::<bool>(), proptest::collection::vec(edit, 0..4)).prop_map(Some)
+        };
+        (0u64..5, prop_oneof![write(), write(), write(), write(), Just(None)])
+    }
+
+    const NAMES: [&str; 7] = [
+        "arch",
+        "host_draining",
+        "host_free_memory_mb",
+        "host_load",
+        "host_name",
+        "os",
+        "zone",
+    ];
+
+    /// Every lookup that `records` can exercise equals a scan of the
+    /// records, in member order: presence and the unbounded numeric range
+    /// of each name, and equality, prefix and substring probes on each
+    /// string value held.
+    fn lookups_equal_the_scan(
+        idx: &AttributeIndexes,
+        records: &BTreeMap<u64, (u32, AttributeDb)>,
+    ) -> Result<(), TestCaseError> {
+        let scan = |keep: &dyn Fn(&AttributeDb) -> bool| -> Vec<Loid> {
+            records.iter().filter(|(_, (_, attrs))| keep(attrs)).map(|(&m, _)| l(m)).collect()
+        };
+        for name in NAMES {
+            prop_assert_eq!(idx.lookup_exists(name), scan(&|a| a.contains(name)), "exists {}", name);
+            let numeric = |a: &AttributeDb| a.get_f64(name).is_some_and(|v| !v.is_nan());
+            let all = (Bound::Unbounded, Bound::Unbounded);
+            prop_assert_eq!(idx.lookup_num_range(name, all.0, all.1), scan(&numeric), "{}", name);
+            let values: BTreeSet<&str> =
+                records.values().filter_map(|(_, a)| a.get_str(name)).collect();
+            for value in values {
+                let is = |a: &AttributeDb| a.get_str(name) == Some(value);
+                prop_assert_eq!(idx.lookup_str_eq(name, value), scan(&is), "{} == {}", name, value);
+                let starts = |a: &AttributeDb| a.get_str(name).is_some_and(|s| s.starts_with(value));
+                prop_assert_eq!(idx.lookup_str_prefix(name, value), scan(&starts));
+                let has = |a: &AttributeDb| a.get_str(name).is_some_and(|s| s.contains(value));
+                prop_assert_eq!(idx.lookup_str_contains(name, value), scan(&has));
+            }
+        }
+        Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Moving members through random records one `reindex` at a time
-        /// leaves the indexes exactly as inserting every member's
-        /// current record into an empty set does, and each `reindex`
-        /// reports exactly the names whose value it saw change.
+        /// Moving members through random records one `reindex` at a time,
+        /// with leaves and re-joins between, leaves the indexes exactly as
+        /// joining every member's current record into an empty set does;
+        /// each `reindex` reports exactly the names whose value it saw
+        /// change; and every lookup equals a scan, in member order, even
+        /// where freed slots went to members that sort before others.
         #[test]
         fn reindex_equals_a_rebuild(steps in proptest::collection::vec(arb_step(), 1..40)) {
-            const NAMES: [&str; 7] = [
-                "arch",
-                "host_draining",
-                "host_free_memory_mb",
-                "host_load",
-                "host_name",
-                "os",
-                "zone",
-            ];
             let mut idx = AttributeIndexes::default();
-            let mut records: BTreeMap<u64, AttributeDb> = BTreeMap::new();
-            for (member, fresh, edits) in &steps {
-                let old = records.get(member).cloned().unwrap_or_default();
+            let mut records: BTreeMap<u64, (u32, AttributeDb)> = BTreeMap::new();
+            for (member, write) in &steps {
+                let Some((fresh, edits)) = write else {
+                    if let Some((slot, attrs)) = records.remove(member) {
+                        idx.leave(slot, &attrs);
+                    }
+                    continue;
+                };
+                let (slot, old) = match records.get(member) {
+                    Some((slot, attrs)) => (*slot, attrs.clone()),
+                    None => (idx.join(l(*member), &AttributeDb::new()), AttributeDb::new()),
+                };
                 let mut new = if *fresh {
                     old.iter().map(|(name, value)| (name.to_string(), value.clone())).collect()
                 } else {
@@ -1022,7 +1154,7 @@ mod tests {
                         None => new.remove(NAMES[*name]),
                     };
                 }
-                let changed = idx.reindex(l(*member), &old, &new);
+                let changed = idx.reindex(slot, &old, &new);
                 // The names whose value differs, read off the two
                 // databases by lookup rather than by a merge walk. A
                 // value in an Info part the two share is one value, even
@@ -1036,13 +1168,14 @@ mod tests {
                     .filter(|name| !shared || new.state().any(|(state, _)| state == *name))
                     .fold(AttrMask::default(), |mask, name| mask | AttrMask::of(name));
                 prop_assert_eq!(changed, differs);
-                records.insert(*member, new);
+                records.insert(*member, (slot, new));
 
                 let mut rebuilt = AttributeIndexes::default();
-                for (m, attrs) in &records {
+                for (m, (_, attrs)) in &records {
                     rebuilt.insert(l(*m), attrs);
                 }
                 prop_assert_eq!(idx.canonical(), rebuilt.canonical());
+                lookups_equal_the_scan(&idx, &records)?;
             }
         }
     }

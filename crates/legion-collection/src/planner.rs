@@ -531,7 +531,7 @@ mod tests {
         use legion_core::Loid;
         let mut idx = AttributeIndexes::default();
         for i in 0..10u64 {
-            idx.insert(
+            idx.join(
                 Loid::synthetic(LoidKind::Host, i),
                 &AttributeDb::new()
                     .with("os", if i % 5 == 0 { "IRIX" } else { "Linux" })

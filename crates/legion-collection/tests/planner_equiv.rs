@@ -2,7 +2,8 @@
 //! *identical* to the naive full scan — same members, same order, same
 //! (possibly derived-extended) attribute views — across randomized
 //! record sets, query ASTs, derived attributes, and interleaved
-//! join/update/replace/leave/evict sequences.
+//! join/update/replace/leave/evict sequences, with members re-joining
+//! into index slots that others freed.
 //!
 //! The engine's safety argument is that index lookups only ever
 //! over-approximate and the full query is re-evaluated per candidate;
@@ -271,6 +272,39 @@ proptest! {
         let all = members(&c.dump());
         prop_assert_eq!(c.evict_stale(SimTime::from_secs(1_000), SimDuration::ZERO), all);
         prop_assert!(c.is_empty());
+    }
+
+    /// Members leave, and members whose LOIDs sort before every member
+    /// that stayed re-join into the slots they freed, so slot order and
+    /// member order part: every indexed result still equals the scan, in
+    /// member order.
+    #[test]
+    fn reused_slots_keep_member_order(
+        first in proptest::collection::vec(arb_db(), 1..10),
+        leaves in proptest::collection::vec(any::<bool>(), 10..11),
+        later in proptest::collection::vec(arb_db(), 1..10),
+        queries in proptest::collection::vec(arb_query(), 1..4),
+    ) {
+        let c = Collection::new(7);
+        let creds: Vec<MemberCredential> = first
+            .iter()
+            .enumerate()
+            .map(|(i, db)| c.join_with(loid(100 + i as u64), db.clone(), SimTime::ZERO))
+            .collect();
+        for (cred, leaves) in creds.iter().zip(&leaves) {
+            if *leaves {
+                c.leave(cred).expect("a member leaves once");
+            }
+        }
+        // The last slot freed is the first taken, by the lowest LOID.
+        for (i, db) in later.iter().enumerate() {
+            c.join_with(loid(i as u64), db.clone(), SimTime::from_secs(1));
+        }
+        for query in &queries {
+            assert_equivalent(&c, query)?;
+            let q = parse_query(query).unwrap_or_else(|e| panic!("{query}: {e}"));
+            assert_member_order("query", members(&c.query_parsed(&q)))?;
+        }
     }
 }
 

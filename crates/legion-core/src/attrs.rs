@@ -23,7 +23,9 @@
 //!
 //! A copy is therefore a reference-count bump plus four small values,
 //! with no allocation, and two databases whose Info parts are the same
-//! `Arc` can differ only in State. Lookups, iteration, equality and the
+//! `Arc` can differ only in State. A description known all at once — a
+//! host's, at start-up — is built by [`AttributeDb::from_pairs`] with
+//! its Info vector allocated once, at its final length. Lookups, iteration, equality and the
 //! `Debug` text see one name-ordered map, as before the split.
 //! Well-known names are a one-byte index into a static table; other
 //! names and all string values sit behind an `Arc<str>` that a copy
@@ -350,6 +352,37 @@ impl AttributeDb {
         }
     }
 
+    /// A database holding `pairs`, built in one pass: the Info vector is
+    /// allocated once, at the length of `pairs`, rather than grown by a
+    /// chain of [`Self::with`] calls, and then sorted. Later pairs
+    /// overwrite earlier ones with the same name, as such a chain would.
+    pub fn from_pairs<N: AsRef<str>>(pairs: impl IntoIterator<Item = (N, AttrValue)>) -> Self {
+        let mut db = AttributeDb::new();
+        let pairs = pairs.into_iter();
+        let mut info: Entries = Vec::with_capacity(pairs.size_hint().0);
+        for (name, value) in pairs {
+            let name = name.as_ref();
+            match state_slot(name) {
+                Some(i) => db.state[i] = Some(value),
+                None => info.push((Name::new(name), value)),
+            }
+        }
+        // A stable sort keeps a name's pairs in the order given; of each
+        // run the last value stays, in the first entry's place.
+        info.sort_by(|(a, _), (b, _)| a.as_str().cmp(b.as_str()));
+        info.dedup_by(|(name, value), (kept_name, kept)| {
+            let same = name == kept_name;
+            if same {
+                std::mem::swap(value, kept);
+            }
+            same
+        });
+        if !info.is_empty() {
+            db.info = Arc::new(info);
+        }
+        db
+    }
+
     /// Builder-style set.
     pub fn with(mut self, name: impl AsRef<str>, value: impl Into<AttrValue>) -> Self {
         self.set(name, value);
@@ -460,14 +493,11 @@ impl fmt::Debug for AttributeDb {
     }
 }
 
-/// Later pairs overwrite earlier ones with the same name.
+/// Later pairs overwrite earlier ones with the same name; see
+/// [`AttributeDb::from_pairs`].
 impl FromIterator<(String, AttrValue)> for AttributeDb {
     fn from_iter<T: IntoIterator<Item = (String, AttrValue)>>(iter: T) -> Self {
-        let mut db = AttributeDb::new();
-        for (name, value) in iter {
-            db.set(name, value);
-        }
-        db
+        AttributeDb::from_pairs(iter)
     }
 }
 

@@ -1,6 +1,6 @@
 //! `AttributeDb` against a model: a `BTreeMap<String, AttrValue>`, the
 //! layout the database used to have. Any sequence of `set`, `with`,
-//! `remove`, `merge_from` and `collect` must leave the two with the same
+//! `remove`, `merge_from`, `collect` and `from_pairs` must leave the two with the same
 //! lookups, length, name order, equality and rendering, and a copy must
 //! stay what it was whichever side is mutated afterwards. The names
 //! drawn mix State names (inline slots) with Info names (the shared,
@@ -56,6 +56,8 @@ enum Op {
     Remove(String),
     Merge(Vec<(String, AttrValue)>),
     Collect(Vec<(String, AttrValue)>),
+    /// Build at size from pairs.
+    Build(Vec<(String, AttrValue)>),
     /// Keep a copy of both sides, to be checked at the end.
     Keep,
     /// Copy the database and mutate the copy; the original must not move.
@@ -69,6 +71,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         arb_name().prop_map(Op::Remove),
         arb_pairs().prop_map(Op::Merge),
         arb_pairs().prop_map(Op::Collect),
+        arb_pairs().prop_map(Op::Build),
         Just(Op::Keep),
         (arb_name(), arb_value()).prop_map(|(n, v)| Op::Fork(n, v)),
     ]
@@ -149,6 +152,10 @@ proptest! {
                     db = pairs.iter().cloned().collect();
                     model = pairs.into_iter().collect();
                 }
+                Op::Build(pairs) => {
+                    db = AttributeDb::from_pairs(pairs.iter().map(|(n, v)| (n.as_str(), v.clone())));
+                    model = pairs.into_iter().collect();
+                }
                 Op::Keep => kept.push((db.clone(), model.clone())),
                 Op::Fork(n, v) => {
                     let mut copy = db.clone();
@@ -165,6 +172,23 @@ proptest! {
         for (copy, model_then) in &kept {
             agrees(copy, model_then)?;
         }
+    }
+
+    /// A database built at size from pairs is the one a chain of `with`
+    /// calls over the same pairs builds: the same lookups, name order,
+    /// rendering, equality and `Debug` text. Runs past 20 pairs take the
+    /// sort's merging path, not only its insertion path.
+    #[test]
+    fn a_build_at_size_equals_the_with_chain(
+        pairs in proptest::collection::vec((arb_name(), arb_value()), 0..32),
+    ) {
+        let chained = pairs.iter().fold(AttributeDb::new(), |db, (n, v)| db.with(n, v.clone()));
+        let built = AttributeDb::from_pairs(pairs.iter().map(|(n, v)| (n.as_str(), v.clone())));
+        let model: Model = pairs.into_iter().collect();
+        agrees(&chained, &model)?;
+        agrees(&built, &model)?;
+        prop_assert!(built == chained);
+        prop_assert_eq!(format!("{built:?}"), format!("{chained:?}"));
     }
 }
 

@@ -12,6 +12,13 @@
 //! its `start_object()` accepts several [`ObjectSpec`]s per call, "
 //! important to support efficient object creation for multiprocessor
 //! systems" (§3.1).
+//!
+//! A host costs what it holds. Its description is built once, at size,
+//! from the `Arc<str>`s of its [`HostConfig`], and published as the
+//! shared Info part of its attribute database, so the host keeps one
+//! copy of each text, and hosts given one `Arc` — a site's domain, the
+//! default platform — share one. Its policies, triggers and outcalls sit
+//! in one slot that stays unallocated until one of them is set.
 
 use crate::load::BackgroundLoad;
 use crate::policy::LocalPolicy;
@@ -26,22 +33,27 @@ use legion_fabric::MetricsLedger;
 use legion_trace::TraceSink;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock};
 
 /// Static description of the machine a host guards.
+///
+/// The texts are the very `Arc<str>`s the host's attribute database
+/// publishes, so a host keeps one copy of each. Hosts built from one
+/// `Arc` — a domain every host of a testbed site names, the default
+/// platform — share its text.
 #[derive(Debug, Clone)]
 pub struct HostConfig {
     /// Host name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Administrative domain.
-    pub domain: String,
+    pub domain: Arc<str>,
     /// Architecture (e.g. `"mips"`).
-    pub arch: String,
+    pub arch: Arc<str>,
     /// OS name (e.g. `"IRIX"`).
-    pub os_name: String,
+    pub os_name: Arc<str>,
     /// OS version (e.g. `"5.3"`).
-    pub os_version: String,
+    pub os_version: Arc<str>,
     /// Processor count.
     pub ncpus: u32,
     /// Physical memory, MB.
@@ -53,15 +65,24 @@ pub struct HostConfig {
     pub willingness: f64,
 }
 
+/// One process-wide copy of a constant text, made on first use.
+macro_rules! shared_text {
+    ($text:literal) => {{
+        static TEXT: OnceLock<Arc<str>> = OnceLock::new();
+        Arc::clone(TEXT.get_or_init(|| Arc::from($text)))
+    }};
+}
+
 impl HostConfig {
-    /// A single-CPU Unix workstation.
-    pub fn unix(name: impl Into<String>, domain: impl Into<String>) -> Self {
+    /// A single-CPU Unix workstation, on the default platform (`mips`,
+    /// `IRIX`, `5.3`), whose texts every such host shares.
+    pub fn unix(name: impl Into<Arc<str>>, domain: impl Into<Arc<str>>) -> Self {
         HostConfig {
             name: name.into(),
             domain: domain.into(),
-            arch: "mips".into(),
-            os_name: "IRIX".into(),
-            os_version: "5.3".into(),
+            arch: shared_text!("mips"),
+            os_name: shared_text!("IRIX"),
+            os_version: shared_text!("5.3"),
             ncpus: 1,
             memory_mb: 512,
             price_per_cpu_sec: 0,
@@ -70,16 +91,16 @@ impl HostConfig {
     }
 
     /// A shared-memory multiprocessor.
-    pub fn smp(name: impl Into<String>, domain: impl Into<String>, ncpus: u32) -> Self {
+    pub fn smp(name: impl Into<Arc<str>>, domain: impl Into<Arc<str>>, ncpus: u32) -> Self {
         HostConfig { ncpus, memory_mb: 1024 * ncpus, ..Self::unix(name, domain) }
     }
 
     /// Builder: override platform (arch, os, version).
     pub fn platform(
         mut self,
-        arch: impl Into<String>,
-        os: impl Into<String>,
-        version: impl Into<String>,
+        arch: impl Into<Arc<str>>,
+        os: impl Into<Arc<str>>,
+        version: impl Into<Arc<str>>,
     ) -> Self {
         self.arch = arch.into();
         self.os_name = os.into();
@@ -176,16 +197,26 @@ struct TriggerEntry {
     last_fired: Option<SimTime>,
 }
 
+/// What few hosts are given: a local policy chain, RGE triggers and
+/// Monitor outcalls. A host holds none of it until one is set, so most
+/// hosts never allocate it.
+#[derive(Default)]
+struct Hooks {
+    policies: Vec<Arc<dyn LocalPolicy>>,
+    triggers: BTreeMap<u64, TriggerEntry>,
+    /// The last trigger id handed out.
+    last_trigger: u64,
+    outcalls: Vec<Arc<dyn Outcall>>,
+}
+
 /// The standard Host object.
 pub struct StandardHost {
     loid: Loid,
     config: HostConfig,
     table: Mutex<ReservationTable>,
     running: RwLock<ObjectTable>,
-    policies: RwLock<Vec<Arc<dyn LocalPolicy>>>,
-    triggers: RwLock<BTreeMap<u64, TriggerEntry>>,
-    next_trigger: AtomicU64,
-    outcalls: RwLock<Vec<Arc<dyn Outcall>>>,
+    /// Policies, triggers and outcalls, once any is set.
+    hooks: RwLock<Option<Box<Hooks>>>,
     vaults: Arc<dyn VaultDirectory>,
     load: Mutex<BackgroundLoad>,
     published: RwLock<Published>,
@@ -215,30 +246,30 @@ impl StandardHost {
         let capacity =
             TableCapacity { cpu_centis: config.ncpus * 100, memory_mb: config.memory_mb };
         let secret = legion_core::hash::mix64(seed ^ loid.digest());
-        // The values that never change are built once; every copy of
-        // the database — the Collection's record included — shares
-        // their strings. `refresh_attrs` fills in the rest.
-        let attrs = AttributeDb::new()
-            .with(well_known::HOST_NAME, config.name.as_str())
-            .with(well_known::DOMAIN, config.domain.as_str())
-            .with(well_known::ARCH, config.arch.as_str())
-            .with(well_known::OS_NAME, config.os_name.as_str())
-            .with(well_known::OS_VERSION, config.os_version.as_str())
-            .with(well_known::NCPUS, config.ncpus as i64)
-            .with(well_known::MEMORY_MB, config.memory_mb as i64)
-            .with(well_known::PRICE_PER_CPU_SEC, config.price_per_cpu_sec as i64)
-            .with(well_known::WILLINGNESS, config.willingness)
-            .with(well_known::FLAVOR, "unix")
-            .with(well_known::COMPATIBLE_VAULTS, AttrValue::List(Vec::new()));
+        // The values that never change are built once, at size, from the
+        // configuration's own texts; every copy of the database — the
+        // Collection's record included — shares them. `refresh_attrs`
+        // fills in the rest.
+        let text = |t: &Arc<str>| AttrValue::Str(Arc::clone(t));
+        let attrs = AttributeDb::from_pairs([
+            (well_known::HOST_NAME, text(&config.name)),
+            (well_known::DOMAIN, text(&config.domain)),
+            (well_known::ARCH, text(&config.arch)),
+            (well_known::OS_NAME, text(&config.os_name)),
+            (well_known::OS_VERSION, text(&config.os_version)),
+            (well_known::NCPUS, AttrValue::Int(config.ncpus as i64)),
+            (well_known::MEMORY_MB, AttrValue::Int(config.memory_mb as i64)),
+            (well_known::PRICE_PER_CPU_SEC, AttrValue::Int(config.price_per_cpu_sec as i64)),
+            (well_known::WILLINGNESS, AttrValue::Float(config.willingness)),
+            (well_known::FLAVOR, AttrValue::Str(shared_text!("unix"))),
+            (well_known::COMPATIBLE_VAULTS, AttrValue::List(Vec::new())),
+        ]);
         let host = StandardHost {
             loid,
             table: Mutex::new(ReservationTable::new(loid, secret, capacity)),
             running: RwLock::new(ObjectTable::default()),
-            // No policy accepts everything; an empty chain allocates nothing.
-            policies: RwLock::new(Vec::new()),
-            triggers: RwLock::new(BTreeMap::new()),
-            next_trigger: AtomicU64::new(1),
-            outcalls: RwLock::new(Vec::new()),
+            // No policy accepts everything; no hooks allocate nothing.
+            hooks: RwLock::new(None),
             vaults,
             load: Mutex::new(BackgroundLoad::steady(0.0)),
             published: RwLock::new(Published { attrs, vaults: Vec::new() }),
@@ -260,12 +291,17 @@ impl StandardHost {
 
     /// Replaces the policy chain.
     pub fn set_policies(&self, policies: Vec<Arc<dyn LocalPolicy>>) {
-        *self.policies.write() = policies;
+        self.with_hooks(|hooks| hooks.policies = policies);
     }
 
     /// Appends a policy to the chain.
     pub fn add_policy(&self, policy: Arc<dyn LocalPolicy>) {
-        self.policies.write().push(policy);
+        self.with_hooks(|hooks| hooks.policies.push(policy));
+    }
+
+    /// Runs `f` on the hooks, allocating them on first use.
+    fn with_hooks<R>(&self, f: impl FnOnce(&mut Hooks) -> R) -> R {
+        f(self.hooks.write().get_or_insert_with(Default::default))
     }
 
     /// Sets the background load process.
@@ -421,7 +457,8 @@ impl HostObject for StandardHost {
             }
 
             // 2. Local placement policy (§3.1 — site autonomy).
-            for p in self.policies.read().iter() {
+            let hooks = self.hooks.read();
+            for p in hooks.iter().flat_map(|hooks| &hooks.policies) {
                 if let Err(reason) = p.permit(req, attrs, now) {
                     self.bump(|m| MetricsLedger::bump(&m.reservations_denied));
                     return Err(LegionError::PolicyRefused {
@@ -468,7 +505,7 @@ impl HostObject for StandardHost {
         now: SimTime,
     ) -> Result<Vec<Loid>, LegionError> {
         let span = self.start_span();
-        span.attr("host", self.config.name.as_str());
+        span.attr("host", &*self.config.name);
         if span.is_recording() {
             span.attr("class", token.class.to_string());
         }
@@ -642,17 +679,22 @@ impl HostObject for StandardHost {
     }
 
     fn register_trigger(&self, trigger: Trigger) -> TriggerId {
-        let id = self.next_trigger.fetch_add(1, Ordering::Relaxed);
-        self.triggers.write().insert(id, TriggerEntry { trigger, last_fired: None });
-        TriggerId(id)
+        self.with_hooks(|hooks| {
+            hooks.last_trigger += 1;
+            let id = hooks.last_trigger;
+            hooks.triggers.insert(id, TriggerEntry { trigger, last_fired: None });
+            TriggerId(id)
+        })
     }
 
     fn remove_trigger(&self, id: TriggerId) {
-        self.triggers.write().remove(&id.0);
+        if let Some(hooks) = self.hooks.write().as_mut() {
+            hooks.triggers.remove(&id.0);
+        }
     }
 
     fn register_outcall(&self, outcall: Arc<dyn Outcall>) {
-        self.outcalls.write().push(outcall);
+        self.with_hooks(|hooks| hooks.outcalls.push(outcall));
     }
 
     fn crash(&self) {
@@ -717,10 +759,13 @@ impl HostObject for StandardHost {
             });
         }
 
-        // Evaluate triggers against the fresh attribute snapshot.
-        {
-            let mut triggers = self.triggers.write();
-            for entry in triggers.values_mut() {
+        // Evaluate triggers against the fresh attribute snapshot, and
+        // take the outcalls to deliver every event to. A host without
+        // hooks has neither.
+        let outcalls = {
+            let mut hooks = self.hooks.write();
+            let Some(hooks) = hooks.as_mut() else { return events };
+            for entry in hooks.triggers.values_mut() {
                 let cooled = entry
                     .last_fired
                     .is_none_or(|t| now.since(t) >= entry.trigger.cooldown);
@@ -735,14 +780,14 @@ impl HostObject for StandardHost {
                     self.bump(|m| MetricsLedger::bump(&m.trigger_firings));
                 }
             }
-        }
-
-        if !events.is_empty() {
-            let outcalls = self.outcalls.read().clone();
-            for e in &events {
-                for oc in &outcalls {
-                    oc.notify(e);
-                }
+            if events.is_empty() {
+                return events;
+            }
+            hooks.outcalls.clone()
+        };
+        for e in &events {
+            for oc in &outcalls {
+                oc.notify(e);
             }
         }
         events

@@ -12,9 +12,12 @@
 //! start + destroy passes, to 64 and then 256 per host, show that what a
 //! host retains does not grow with the placements it has served. Last,
 //! every host is given the 256 long reservations each host of the
-//! co-allocation benchmark holds. The figures are a property of the data
-//! layout, not of the machine, so they repeat exactly from run to run and
-//! the guard below can be tight.
+//! co-allocation benchmark holds. A second bed, aged as the benchmark
+//! ages its beds, then takes placements through the front door as the
+//! benchmark's requests do; their row is per placement, not per host.
+//! The figures are a property of the data layout, not of the machine,
+//! so they repeat exactly from run to run and the guard below can be
+//! tight.
 //!
 //! Run `cargo test --release --test footprint -- --nocapture` to print
 //! the phase table.
@@ -24,9 +27,13 @@
 use legion::apps::{Testbed, TestbedConfig};
 use legion::collection::{Collection, DataCollectionDaemon};
 use legion::core::{
-    HostObject, Loid, LoidKind, Placement, ReservationRequest, SimDuration, SimTime,
+    ClassObject, HostObject, Loid, LoidKind, Placement, PlacementRequest, ReservationRequest,
+    SimDuration, SimTime,
 };
 use legion::hosts::BackgroundLoad;
+use legion::ingress::{ClassPolicy, FrontDoor, IngressConfig, PriorityClass};
+use legion::schedule::Enactor;
+use legion::schedulers::RandomScheduler;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -86,6 +93,9 @@ static GLOBAL: Counting = Counting;
 
 const HOSTS: usize = 2_000;
 
+/// Placements counted on the aged bed, after as many that warm it.
+const PLACEMENTS: usize = 256;
+
 /// Live bytes and allocation calls at one instant.
 #[derive(Clone, Copy)]
 struct Mark {
@@ -109,6 +119,82 @@ impl Mark {
             (now.allocations - self.allocations) / HOSTS,
         )
     }
+}
+
+/// One start + destroy of the class on every Unix host of `tb`, as the
+/// benchmark's set-up does.
+fn start_and_destroy_on_every_host(tb: &Testbed, class_obj: &Arc<dyn ClassObject>) {
+    let class = class_obj.loid();
+    let report = class_obj.report();
+    let now = tb.fabric.clock().now();
+    for host in &tb.unix_hosts {
+        let vault = host.get_compatible_vaults()[0];
+        let request = ReservationRequest::instantaneous(class, vault, SimDuration::from_secs(3600))
+            .with_demand(report.cpu_centis, report.memory_mb);
+        let token = host.make_reservation(&request, now).expect("idle host grants");
+        let placement = Placement {
+            host: host.loid(),
+            vault,
+            token,
+        };
+        let instance = class_obj
+            .create_instance(Some(placement), &*tb.fabric)
+            .expect("reserved host starts");
+        class_obj
+            .destroy_instance(instance, &*tb.fabric)
+            .expect("destroy own instance");
+    }
+}
+
+/// Retained bytes and allocations per placement through
+/// `FrontDoor::submit`, as the benchmark makes placements: on a bed aged
+/// by one start + destroy per host, a Random scheduler, one instance per
+/// request, admission wide open, the virtual clock a millisecond on per
+/// request. The warm-up fills the candidate cache, so every counted
+/// request is served from it. Allocations are counted inside `submit`
+/// alone; bytes are what the placements retain once their objects are
+/// destroyed again.
+fn placements_through_the_front_door() -> (isize, f64) {
+    let tb = Testbed::build(TestbedConfig::local(HOSTS, 7));
+    let class = tb.register_class("footprint", 1, 1);
+    let class_obj = tb.fabric.lookup_class(class).expect("class registered");
+    start_and_destroy_on_every_host(&tb, &class_obj);
+    let open = ClassPolicy {
+        rate_per_sec: 1_000.0,
+        burst: 1_000,
+        queue_capacity: 64,
+    };
+    let door = FrontDoor::new(
+        tb.ctx(),
+        Arc::new(RandomScheduler::new(7)),
+        Arc::new(Enactor::new(Arc::clone(&tb.fabric))),
+        tb.vault_loids[0],
+        IngressConfig {
+            policies: [open; PriorityClass::COUNT],
+            ..Default::default()
+        },
+    );
+    let tenant = door.register_tenant("footprint", PriorityClass::Production);
+    let request = PlacementRequest::new().class(class, 1);
+    let place = || {
+        tb.fabric.clock().advance(SimDuration::from_millis(1));
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let report = door.submit(tenant, &request).expect("the aged bed places");
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        for (_, instance) in &report.placed {
+            class_obj
+                .destroy_instance(*instance, &*tb.fabric)
+                .expect("destroy own instance");
+        }
+        allocations
+    };
+    for _ in 0..PLACEMENTS {
+        place();
+    }
+    let start = Mark::now();
+    let allocations: usize = (0..PLACEMENTS).map(|_| place()).sum();
+    let retained = (Mark::now().live - start.live) / PLACEMENTS as isize;
+    (retained, allocations as f64 / PLACEMENTS as f64)
 }
 
 #[test]
@@ -144,29 +230,7 @@ fn bytes_per_host_stay_within_budget() {
 
     // One start + destroy per host, as the benchmark's set-up does.
     let class_obj = tb.fabric.lookup_class(class).expect("class registered");
-    let now = tb.fabric.clock().now();
-    let pass = || {
-        for host in &tb.unix_hosts {
-            let vault = host.get_compatible_vaults()[0];
-            let request =
-                ReservationRequest::instantaneous(class, vault, SimDuration::from_secs(3600))
-                    .with_demand(report.cpu_centis, report.memory_mb);
-            let token = host
-                .make_reservation(&request, now)
-                .expect("idle host grants");
-            let placement = Placement {
-                host: host.loid(),
-                vault,
-                token,
-            };
-            let instance = class_obj
-                .create_instance(Some(placement), &*tb.fabric)
-                .expect("reserved host starts");
-            class_obj
-                .destroy_instance(instance, &*tb.fabric)
-                .expect("destroy own instance");
-        }
-    };
+    let pass = || start_and_destroy_on_every_host(&tb, &class_obj);
     let start = Mark::now();
     pass();
     let (aged, aged_allocs) = start.per_host();
@@ -235,21 +299,29 @@ fn bytes_per_host_stay_within_budget() {
         (records_and_slots - drop_log()) / HOSTS as isize
     };
 
-    // Last, so that no row above moves: every host holds 256 long
-    // zero-demand reservations, as the co-allocation benchmark's hosts do.
+    // Last of this bed's phases, so that no row above moves: every host
+    // holds 256 long zero-demand reservations, as the co-allocation
+    // benchmark's hosts do.
     let start = Mark::now();
     assert_eq!(tb.preload_reservations(256, class), 256 * HOSTS);
     let (held, held_allocs) = start.per_host();
 
+    // Placements through `FrontDoor::submit` on a bed of its own, aged
+    // as the benchmark ages its beds, so that no row above moves.
+    let (placed, placed_allocs) = placements_through_the_front_door();
+
     println!("phase                     bytes/host  allocations/host");
     println!("bed build (hosts + pull)  {built:>10}  {built_allocs:>16}");
     println!("  of which the pull       {:>10}  {:>16}", pull.0, pull.1);
+    let hosts = (built - pull.0, built_allocs - pull.1);
+    println!("  of which the hosts      {:>10}  {:>16}", hosts.0, hosts.1);
     println!("first candidate serve     {serve:>10}  {serve_allocs:>16}");
     println!("start + destroy pass      {aged:>10}  {aged_allocs:>16}");
     println!("  after 64 passes         {aged_64:>10}  {aged_64_allocs:>16}");
     println!("  after 256 passes        {aged_256:>10}  {aged_256_allocs:>16}");
     println!("reassess + pull           {repulled:>10}  {repulled_allocs:>16}");
     println!("logged refresh (deltas on){logged:>10}");
+    println!("placement (per submit)    {placed:>10}  {placed_allocs:>16.1}");
     println!("256 held reservations     {held:>10}  {held_allocs:>16}");
 
     // With one `BTreeMap<String, AttrValue>` per copy of a host's
@@ -352,12 +424,35 @@ fn bytes_per_host_stay_within_budget() {
     //   reassess + pull                  704                 6
     //   logged refresh (deltas on)       704
     //   256 held reservations          12712                 9
+    //
+    // With Info shared by every copy, but postings keyed by 24-byte LOIDs,
+    // a host's texts copied into both its configuration and its Info
+    // part, that part grown by eleven `with` calls, and the policy,
+    // trigger and outcall slots inline in every host:
+    //
+    //   bed build (hosts + pull)        3339                29
+    //     of which the pull             1195                 5
+    //     of which the hosts            2144                24
+    //   first candidate serve            152                 1
+    //   start + destroy pass              32                10
+    //     after 64 passes                 32                 9
+    //     after 256 passes                32                 9
+    //   reassess + pull                  160                 2
+    //   logged refresh (deltas on)       160
+    //   placement (per submit)             0              40.0
+    //   256 held reservations          12712                 9
     // The host and the Collection's record share one Info part.
-    assert!(built <= 3_400, "{built} B per host after the build");
-    // One store interns each attribute value once, and posts its id once
-    // under each distinct trigram, in a sorted id vector.
-    assert!(pull.0 <= 1_400, "{} B per host in the pull", pull.0);
+    assert!(built <= 2_450, "{built} B per host after the build");
+    // One store interns each attribute value once, posts its id once
+    // under each distinct trigram, in a sorted id vector, and posts each
+    // member as a 4-byte slot.
+    assert!(pull.0 <= 800, "{} B per host in the pull", pull.0);
     assert!(pull.1 <= 5, "{} allocations per host in the pull", pull.1);
+    // A host's Info part is built once, at size, from the `Arc<str>`s of
+    // its configuration, and a testbed's hosts share their platform
+    // texts: 1,645 B and 13 allocations today.
+    assert!(hosts.0 <= 1_650, "{} B per host for the hosts", hosts.0);
+    assert!(hosts.1 <= 14, "{} allocations per host for the hosts", hosts.1);
     assert!(
         aged <= 64,
         "{aged} B per host retained by a start + destroy pass"
@@ -392,4 +487,12 @@ fn bytes_per_host_stay_within_budget() {
         held <= 12_800,
         "{held} B per host for 256 held reservations"
     );
+    // A placement served from the candidate cache pays nothing for the
+    // Collection's member slots: 40.0 allocations before the slots and
+    // after. It retains nothing.
+    assert!(
+        placed_allocs <= 40.0,
+        "{placed_allocs} allocations per placement"
+    );
+    assert!(placed <= 0, "{placed} B retained per placement");
 }
